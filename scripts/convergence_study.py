@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from roughlub.geometry import ScenarioConfig, build_fields
+from roughlub.geometry import Grid, ScenarioConfig
 from roughlub.solver import oracle_1d, solve_reynolds
 
 
@@ -23,8 +23,7 @@ def main():
     sizes = [16 * 2**k for k in range(args.levels)]
     for nx in sizes:
         config = ScenarioConfig(nx=nx, ny=4, tol=1e-12, y_sides_natural=True)
-        grid, _ = build_fields(config)
-        _, ys = grid.node_coords()
+        _, ys = Grid(config.nx, config.ny).node_coords()
         row = solve_reynolds(config).p[ys == 0.0]
         _, p_ref = oracle_1d(config.gap, config.roughness, u_bx=1.0,
                              q_e=0.5, samples=nx + 1)

@@ -18,7 +18,8 @@ from .postprocess import (ComparisonReport, VelocityProfile, compare_fields,
                           flux_from_coefficients, flux_from_velocity,
                           gradient_at, velocity_profile)
 from .solver import (ConvergenceError, LinearSystem, PressureSolution, assemble,
-                     oracle_1d, residual_check, solve_linear, solve_reynolds)
+                     oracle_1d, residual_check, solve_fields, solve_linear,
+                     solve_reynolds)
 
 __all__ = [
     "CoefficientPair", "coefficients", "cosine_roughness_intensity",
@@ -30,7 +31,8 @@ __all__ = [
     "flux_from_coefficients", "flux_from_velocity", "gradient_at",
     "velocity_profile",
     "ConvergenceError", "LinearSystem", "PressureSolution", "assemble",
-    "oracle_1d", "residual_check", "solve_linear", "solve_reynolds",
+    "oracle_1d", "residual_check", "solve_fields", "solve_linear",
+    "solve_reynolds",
 ]
 
 __version__ = "0.1.0"

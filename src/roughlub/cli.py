@@ -28,7 +28,7 @@ from . import postprocess
 from .coefficients import N_MAX, coefficients
 from .geometry import (ConfigError, RoughnessSpec, RoughRegion, ScenarioConfig,
                        build_fields, load_config)
-from .solver import ConvergenceError, solve_reynolds
+from .solver import ConvergenceError, solve_fields, solve_reynolds
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -129,7 +129,7 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     grid, fields = build_fields(config)
-    solution = solve_reynolds(config)
+    solution = solve_fields(config, grid, fields)
     wall = time.perf_counter() - start
     _write_pressure_csv(out / "pressure.csv", config, solution.p)
     _write_fields_csv(out / "fields.csv", config, grid, fields)
@@ -145,7 +145,7 @@ def cmd_velocity(args) -> int:
     if args.nz < 8:
         raise ConfigError(f"--nz must be >= 8, got {args.nz}")
     grid, fields = build_fields(config)
-    solution = solve_reynolds(config)
+    solution = solve_fields(config, grid, fields)
     grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)
     cx = min(int(args.x * config.nx), config.nx - 1)
     cy = min(int(args.y * config.ny), config.ny - 1)
@@ -165,9 +165,9 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     smooth_config = dataclasses.replace(config, roughness=RoughnessSpec())
-    grid, _ = build_fields(config)
+    grid, fields = build_fields(config)
     p_smooth = solve_reynolds(smooth_config)
-    p_rough = solve_reynolds(config)
+    p_rough = solve_fields(config, grid, fields)
     report = postprocess.compare_fields(p_smooth, p_rough, grid, config.roughness)
     _write_pressure_csv(out / "pressure_smooth.csv", config, p_smooth.p)
     _write_pressure_csv(out / "pressure_rough.csv", config, p_rough.p)

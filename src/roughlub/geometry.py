@@ -43,6 +43,9 @@ class GapProfile:
     def __post_init__(self):
         if self.kind not in GAP_KINDS:
             raise ConfigError(f"unknown gap kind {self.kind!r}, expected one of {GAP_KINDS}")
+        for name, v in (("gap.c0", self.c0), ("gap.c1", self.c1)):
+            if not math.isfinite(float(v)):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.kind == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated gap profile requires a table")
@@ -267,11 +270,14 @@ def _parse_region(value: str, where: str) -> RoughRegion:
             kw[k] = float(v)
         except ValueError:
             raise ConfigError(f"{where}: bad numeric value for {k}: {v!r}") from None
+    wav = kw.get("wav")
+    if wav is not None and not (math.isfinite(wav) and wav >= 1 and wav == int(wav)):
+        raise ConfigError(f"{where}: wav must be a positive integer, got {wav:g}")
     return RoughRegion(
         x0, y0, x1, y1,
         n=kw.get("n"),
         amplitude=kw.get("amp"),
-        wavenumber=int(kw["wav"]) if "wav" in kw else None,
+        wavenumber=None if wav is None else int(wav),
     )
 
 

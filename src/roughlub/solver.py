@@ -8,13 +8,24 @@ Weak form (test functions q vanish on {x=1}, {y=0} and {y=1}):
 Each grid cell is split into two triangles along the lower-left to
 upper-right diagonal; both triangles inherit the cell's barycenter data, so
 all element integrals are exact for the piecewise-constant coefficients.
+
+On this triangulation the P1 system is a 5-point stencil.  The stiffness
+coupling across an edge is -(k/2) cot of the angle opposite it, and the angle
+opposite every diagonal is a right angle, so the diagonal couples nothing.
+An axis-parallel edge faces a corner with cot = hy/hx (x-edges) or hx/hy
+(y-edges) in each of the one or two triangles beside it, so its conductance
+is the mean of k = h^3 A / 12 over the adjacent cells (zero outside the
+square), times hy/hx or hx/hy.  The shear load integrates each cell's
+grad phi_i to half its edges, so a node's load is the difference of the
+cell terms h B U_b on either side of it.  `assemble` builds that stencil
+directly; the solution is still the P1 solution.
+
 The reduced system (Dirichlet rows/columns eliminated) is symmetric positive
 definite and is solved with Jacobi-preconditioned conjugate gradients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,79 +59,45 @@ class PressureSolution:
     residual: float
 
 
-def _triangle_connectivity(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex node indices of the lower and upper triangle of every cell."""
-    nx, ny = grid.nx, grid.ny
-    cx = np.tile(np.arange(nx), ny)
-    cy = np.repeat(np.arange(ny), nx)
-    n00 = cy * (nx + 1) + cx
-    n10 = n00 + 1
-    n01 = n00 + (nx + 1)
-    n11 = n01 + 1
-    lower = np.stack([n00, n10, n11], axis=1)
-    upper = np.stack([n00, n11, n01], axis=1)
-    return lower, upper
-
-
-def _p1_gradients(hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Constant shape-function gradients on the two reference triangles."""
-    # lower: (0,0), (hx,0), (hx,hy);  upper: (0,0), (hx,hy), (0,hy)
-    v_lower = np.array([[0.0, 0.0], [hx, 0.0], [hx, hy]])
-    v_upper = np.array([[0.0, 0.0], [hx, hy], [0.0, hy]])
-
-    def grads(v):
-        t = np.column_stack([v[1] - v[0], v[2] - v[0]])  # Jacobian
-        inv = np.linalg.inv(t)
-        # rows of inv are gradients of the two reference barycentric coords
-        g1, g2 = inv[0], inv[1]
-        return np.stack([-g1 - g2, g1, g2])
-
-    return grads(v_lower), grads(v_upper)
-
-
 def assemble(grid: Grid, fields: CoefficientFields,
              u_b: tuple[float, float], q_e: float) -> LinearSystem:
     """Build the reduced stiffness matrix and load vector."""
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
-    area = 0.5 * hx * hy
 
     k_cell = fields.h1_bar**3 * fields.a / 12.0
     if np.any(k_cell <= 0.0) or not np.all(np.isfinite(k_cell)):
         raise ValueError("non-elliptic cell: h^3 A / 12 must be positive everywhere")
-    c_cell = fields.h1_bar * fields.b
+    # cell data padded by a ring of zeros: node (iy, ix) touches the padded
+    # cells [iy:iy+2, ix:ix+2], i.e. below-left, below-right, above-left, above-right
+    k = np.pad(k_cell.reshape(ny, nx), 1)
+    c = np.pad((fields.h1_bar * fields.b).reshape(ny, nx), 1)
 
-    lower, upper = _triangle_connectivity(grid)
-    g_lower, g_upper = _p1_gradients(hx, hy)
-    ub = np.asarray(u_b, dtype=float)
+    # face conductances on the node lattice; zero across the outer boundary
+    west = 0.5 * (k[:-1, :-1] + k[1:, :-1]) * hy / hx
+    east = 0.5 * (k[:-1, 1:] + k[1:, 1:]) * hy / hx
+    south = 0.5 * (k[:-1, :-1] + k[:-1, 1:]) * hx / hy
+    north = 0.5 * (k[1:, :-1] + k[1:, 1:]) * hx / hy
+    x_link = -east.ravel()[:-1]           # node i to node i + 1
+    y_link = -north.ravel()[:-(nx + 1)]   # node i to node i + nx + 1
+    stiffness = sp.diags(
+        [y_link, x_link, (west + east + south + north).ravel(), x_link, y_link],
+        [-(nx + 1), -1, 0, 1, nx + 1], format="csr")
 
-    rows, cols, data = [], [], []
-    rhs = np.zeros(grid.n_nodes)
-    for conn, g in ((lower, g_lower), (upper, g_upper)):
-        local = area * (g @ g.T)  # 3x3, same for every triangle of this type
-        data.append((k_cell[:, None, None] * local[None, :, :]).ravel())
-        rows.append(np.repeat(conn, 3, axis=1).ravel())
-        cols.append(np.tile(conn, (1, 3)).ravel())
-        # int (h B) U_b . grad phi_i, exact for constant data
-        np.add.at(rhs, conn.ravel(),
-                  np.outer(c_cell, area * (g @ ub)).ravel())
-
+    # int (h B) U_b . grad phi_i: half an edge times the difference of the
+    # cell terms on either side of the node
+    c_left, c_right = c[:-1, :-1] + c[1:, :-1], c[:-1, 1:] + c[1:, 1:]
+    c_below, c_above = c[:-1, :-1] + c[:-1, 1:], c[1:, :-1] + c[1:, 1:]
+    rhs = 0.5 * (u_b[0] * hy * (c_left - c_right) + u_b[1] * hx * (c_below - c_above))
     # inlet edge term: int_{x=0} Q_e phi_i = Q_e * hy / 2 per edge endpoint
-    inlet_edge_lo = np.arange(ny) * (nx + 1)
-    edge_load = np.zeros(grid.n_nodes)
-    np.add.at(edge_load, inlet_edge_lo, 0.5 * q_e * hy)
-    np.add.at(edge_load, inlet_edge_lo + (nx + 1), 0.5 * q_e * hy)
-    rhs -= edge_load
-
-    stiffness = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n_nodes, grid.n_nodes)).tocsr()
+    inlet = np.zeros((ny + 1, nx + 1))
+    inlet[:-1, 0] += 0.5 * q_e * hy
+    inlet[1:, 0] += 0.5 * q_e * hy
+    rhs = (rhs - inlet).ravel()
 
     free = np.flatnonzero(~grid.dirichlet_mask())
-    reduced = stiffness[free][:, free].tocsr()
-    reduced.sum_duplicates()
-    return LinearSystem(matrix=reduced, rhs=rhs[free], free_nodes=free,
-                        n_nodes=grid.n_nodes)
+    return LinearSystem(matrix=stiffness[free][:, free], rhs=rhs[free],
+                        free_nodes=free, n_nodes=grid.n_nodes)
 
 
 def solve_linear(system: LinearSystem, tol: float = 1e-10,
@@ -183,11 +160,16 @@ def residual_check(system: LinearSystem, solution: PressureSolution) -> float:
     return r / b_norm if b_norm > 0.0 else r
 
 
-def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
-    """Full pipeline: fields -> assembly -> linear solve."""
-    grid, fields = build_fields(config)
+def solve_fields(config: ScenarioConfig, grid: Grid,
+                 fields: CoefficientFields) -> PressureSolution:
+    """Assembly -> linear solve on the grid and fields built for `config`."""
     system = assemble(grid, fields, config.u_b, config.q_e)
     return solve_linear(system, tol=config.tol, max_iter=config.max_iter)
+
+
+def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
+    """Full pipeline: fields -> assembly -> linear solve."""
+    return solve_fields(config, *build_fields(config))
 
 
 def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,

@@ -100,6 +100,21 @@ class TestSolve:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("line, key", [
+        ("rough.region.1 = 0.5,0,1,1,amp=0.1,wav=inf", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,amp=0.1,wav=1.5", "rough.region.1"),
+        ("gap.c0 = nan", "gap.c0"),
+        ("gap.c1 = inf", "gap.c1"),
+    ])
+    def test_bad_config_value_exits_2_naming_key(self, capsys, tmp_path, line, key):
+        config = tmp_path / "bad.cfg"
+        config.write_text(SMOOTH_DOC + line + "\n")
+        code, _, err = run(capsys, "solve", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
+
 
 class TestVelocity:
     def test_profile_rows_and_boundaries(self, capsys, tmp_path):

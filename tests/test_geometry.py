@@ -68,6 +68,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="solver.tol|tolerance"):
             load_config("solver.tol = -1\n")
 
+    @pytest.mark.parametrize("wav", ["inf", "nan", "1.5", "0", "-2"])
+    def test_region_wavenumber_must_be_positive_integer(self, wav):
+        with pytest.raises(ConfigError, match="rough.region.1.*wav"):
+            load_config(f"rough.region.1 = 0.5,0,1,1,amp=0.1,wav={wav}\n")
+
     def test_tabulated_requires_table_path(self):
         with pytest.raises(ConfigError, match="gap.table_path"):
             load_config("gap.kind = tabulated\n")
@@ -103,6 +108,12 @@ class TestEvaluateGap:
     def test_nonpositive_table_rejected(self):
         with pytest.raises(ConfigError):
             GapProfile(kind="tabulated", table=np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+    def test_nonfinite_constants_rejected(self):
+        with pytest.raises(ConfigError, match="gap.c0"):
+            GapProfile(kind="constant", c0=float("nan"))
+        with pytest.raises(ConfigError, match="gap.c1"):
+            GapProfile(c1=float("-inf"))
 
 
 class TestGrid:

@@ -39,6 +39,19 @@ class TestAssemble:
         _, system = assembled(flat_config(nx=16, ny=16, q_e=-0.5))
         assert np.linalg.norm(system.rhs) <= 1e-14
 
+    def test_five_point_stencil_structure(self):
+        # the diagonal of each cell couples nothing, so only the diagonal and
+        # the axis-parallel links between free nodes are stored
+        grid, system = assembled(ScenarioConfig(nx=13, ny=7))
+        matrix = system.matrix
+        assert (matrix.data != 0).all()
+        free = np.zeros(grid.n_nodes, dtype=bool)
+        free[system.free_nodes] = True
+        lattice = free.reshape(grid.ny + 1, grid.nx + 1)
+        links = ((lattice[:, :-1] & lattice[:, 1:]).sum()
+                 + (lattice[:-1, :] & lattice[1:, :]).sum())
+        assert matrix.nnz == system.rhs.size + 2 * links
+
     def test_classical_limit_entrywise(self):
         # smooth fields must reproduce the h^3/12, h/2 weak form exactly
         config = ScenarioConfig(nx=12, ny=12)
