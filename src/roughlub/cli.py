@@ -26,13 +26,16 @@ import numpy as np
 
 from . import postprocess
 from .coefficients import N_MAX, coefficients
-from .geometry import (ConfigError, RoughnessSpec, RoughRegion, ScenarioConfig,
-                       build_fields, load_config)
-from .solver import ConvergenceError, solve_fields, solve_reynolds
+from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion,
+                       ScenarioConfig, build_fields, load_config)
+from .solver import (ConvergenceError, PressureSolution, solve_fields,
+                     solve_reynolds)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
+
+CSV_BLOCK_ROWS = 4096  # rows per write of a CSV file
 
 PRESET_REGIONS = {
     "fig2": (),
@@ -67,29 +70,43 @@ def _load_scenario(config_path: str | None, scenario: str | None,
     return dataclasses.replace(config, **replace) if replace else config
 
 
+def _distinct_text(values) -> tuple[np.ndarray, np.ndarray]:
+    """Texts of the distinct bit patterns in `values` (so -0.0 keeps its own
+    text), each formatted once, and every entry's index into them."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text, inverse
+
+
+def _write_rows(path: Path, header: str, columns) -> None:
+    """Write `header`, then one comma-joined row per entry of the equal-length
+    float arrays in `columns`, CSV_BLOCK_ROWS rows per write."""
+    columns = [_distinct_text(values) for values in columns]
+    n_rows = columns[0][1].size
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header)
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [text[index[start:start + CSV_BLOCK_ROWS]].tolist()
+                     for text, index in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
 def _write_pressure_csv(path: Path, config: ScenarioConfig, p: np.ndarray,
                         value_name: str = "p") -> None:
     nx, ny = config.nx, config.ny
-    lines = [f"# nx={nx} ny={ny}", f"x,y,{value_name}"]
-    for iy in range(ny + 1):
-        for ix in range(nx + 1):
-            i = iy * (nx + 1) + ix
-            lines.append(f"{_fmt(ix / nx)},{_fmt(iy / ny)},{_fmt(p[i])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, f"# nx={nx} ny={ny}\nx,y,{value_name}\n",
+                (*Grid(nx, ny).node_coords(), p))
 
 
 def _write_fields_csv(path: Path, config: ScenarioConfig, grid, fields) -> None:
-    bx, by = grid.cell_barycenters()
-    lines = ["x,y,n_psi,a,b,h1"]
-    for c in range(grid.n_cells):
-        lines.append(",".join(_fmt(v) for v in
-                              (bx[c], by[c], fields.n_psi[c], fields.a[c],
-                               fields.b[c], fields.h1_bar[c])))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, "x,y,n_psi,a,b,h1\n",
+                (*grid.cell_barycenters(), fields.n_psi, fields.a, fields.b,
+                 fields.h1_bar))
 
 
 def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
-                    files: list[str], iterations: int, residual: float,
+                    files: list[str], solution: PressureSolution,
                     wall_time: float) -> None:
     lines = [
         f"scenario={scenario}",
@@ -110,8 +127,9 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
                      f"{_fmt(r.x1)},{_fmt(r.y1)},{desc}")
     lines += [f"file={name}" for name in files]
     lines += [
-        f"iterations={iterations}",
-        f"residual={_fmt(residual)}",
+        f"iterations={solution.iterations}",
+        f"residual={_fmt(solution.residual)}",
+        f"solver.levels={','.join(map(str, solution.levels))}",
         f"wall_time_s={wall_time:.3f}",
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -135,7 +153,7 @@ def cmd_solve(args) -> int:
     _write_fields_csv(out / "fields.csv", config, grid, fields)
     files = ["pressure.csv", "fields.csv"]
     _write_manifest(out / "manifest.txt", args.scenario or "custom", config,
-                    files, solution.iterations, solution.residual, wall)
+                    files, solution, wall)
     print(f"wrote {', '.join(files + ['manifest.txt'])} to {out}")
     return EXIT_OK
 
@@ -231,3 +249,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -109,8 +109,10 @@ class RoughRegion:
             raise ConfigError("rough region needs either n=<value> or amp=,wav= (not both)")
         if cosine and (self.amplitude is None or self.wavenumber is None):
             raise ConfigError("cosine rough region needs both amp= and wav=")
-        if direct and self.n < 0.0:
-            raise ConfigError(f"rough region intensity must be >= 0, got {self.n}")
+        if direct and not (math.isfinite(self.n) and self.n >= 0.0):
+            raise ConfigError(f"rough region intensity must be finite and >= 0, got {self.n}")
+        if cosine and not math.isfinite(self.amplitude):
+            raise ConfigError(f"rough region amplitude must be finite, got {self.amplitude}")
 
     def intensity(self) -> float:
         if self.n is not None:
@@ -273,12 +275,15 @@ def _parse_region(value: str, where: str) -> RoughRegion:
     wav = kw.get("wav")
     if wav is not None and not (math.isfinite(wav) and wav >= 1 and wav == int(wav)):
         raise ConfigError(f"{where}: wav must be a positive integer, got {wav:g}")
-    return RoughRegion(
-        x0, y0, x1, y1,
-        n=kw.get("n"),
-        amplitude=kw.get("amp"),
-        wavenumber=None if wav is None else int(wav),
-    )
+    try:
+        return RoughRegion(
+            x0, y0, x1, y1,
+            n=kw.get("n"),
+            amplitude=kw.get("amp"),
+            wavenumber=None if wav is None else int(wav),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(text: str) -> ScenarioConfig:

@@ -21,7 +21,12 @@ cell terms h B U_b on either side of it.  `assemble` builds that stencil
 directly; the solution is still the P1 solution.
 
 The reduced system (Dirichlet rows/columns eliminated) is symmetric positive
-definite and is solved with Jacobi-preconditioned conjugate gradients.
+definite and is solved with conjugate gradients preconditioned by one
+symmetric geometric-multigrid V-cycle: bilinear prolongation on the node
+lattice, Galerkin coarse operators P^T A P, two weighted-Jacobi sweeps
+before and after each coarse correction, and an exact dense solve on a
+small coarsest level.  The iteration count then stays bounded as the grid
+is refined, as long as the cell counts halve evenly down to that level.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ class LinearSystem:
     rhs: np.ndarray
     free_nodes: np.ndarray  # grid node index of each unknown
     n_nodes: int
+    nx: int  # cells per side: the nodes form an (ny + 1) x (nx + 1) lattice
+    ny: int
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class PressureSolution:
     p: np.ndarray
     iterations: int
     residual: float
+    levels: tuple[int, ...] = ()  # unknowns per multigrid level, fine to coarse
 
 
 def assemble(grid: Grid, fields: CoefficientFields,
@@ -97,15 +105,95 @@ def assemble(grid: Grid, fields: CoefficientFields,
 
     free = np.flatnonzero(~grid.dirichlet_mask())
     return LinearSystem(matrix=stiffness[free][:, free], rhs=rhs[free],
-                        free_nodes=free, n_nodes=grid.n_nodes)
+                        free_nodes=free, n_nodes=grid.n_nodes, nx=nx, ny=ny)
+
+
+# Multigrid preconditioner (Briggs, Henson & McCormick, "A Multigrid Tutorial",
+# SIAM 2000, ch. 3 and 8): bilinear prolongation on the node lattice, Galerkin
+# coarse operators, weighted Jacobi smoothing.
+OMEGA = 0.8          # Jacobi weight; omega * max eig(D^-1 A) < 2 keeps it SPD
+SWEEPS = 2           # pre- and post-smoothing sweeps per level
+COARSEST = 64        # coarsen while a level has more unknowns than this
+DENSE_MAX = 512      # a coarsest level up to this size is solved exactly
+COARSE_SWEEPS = 4    # Jacobi sweeps on a larger coarsest level
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level of the hierarchy; only the coarsest has no `prolong`."""
+
+    matrix: sp.csr_matrix
+    jacobi: np.ndarray                      # omega / diagonal
+    restrict: sp.csr_matrix | None = None   # to the next coarser level
+    prolong: sp.csr_matrix | None = None    # from the next coarser level
+    inverse: np.ndarray | None = None       # dense inverse of a small coarsest level
+
+
+def _prolong_1d(n: int) -> sp.csr_matrix:
+    """Linear interpolation from n/2 + 1 coarse nodes to n + 1 fine nodes."""
+    fine = np.arange(n + 1)
+    odd = fine[1::2]
+    rows = np.concatenate([fine, odd])
+    cols = np.concatenate([fine // 2, odd // 2 + 1])
+    vals = np.concatenate([np.where(fine % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n // 2 + 1))
+
+
+def _hierarchy(system: LinearSystem) -> tuple[_Level, ...]:
+    """Galerkin levels A_c = P^T A P on the node lattice, finest first.
+
+    P = kron(P_y, P_x) restricted to the free nodes of both lattices; a
+    coarse node is free iff the fine node at the same place is.  Coarsening
+    stops at an odd cell count, a side of fewer than 4 cells, or a level of
+    at most COARSEST unknowns.
+    """
+    a, nx, ny = system.matrix, system.nx, system.ny
+    free = np.zeros(system.n_nodes, dtype=bool)
+    free[system.free_nodes] = True
+    free = free.reshape(ny + 1, nx + 1)
+    levels = []
+    while (nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) >= 4
+           and a.shape[0] > COARSEST):
+        coarse_free = free[::2, ::2]
+        prolong = sp.kron(_prolong_1d(ny), _prolong_1d(nx), format="csr")
+        prolong = prolong[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)]
+        restrict = prolong.T.tocsr()
+        levels.append(_Level(a, OMEGA / a.diagonal(), restrict, prolong))
+        a = (restrict @ a @ prolong).tocsr()
+        nx, ny, free = nx // 2, ny // 2, coarse_free
+    inverse = None
+    if a.shape[0] <= DENSE_MAX:
+        inverse = np.linalg.inv(a.toarray())
+        inverse = 0.5 * (inverse + inverse.T)
+    levels.append(_Level(a, OMEGA / a.diagonal(), inverse=inverse))
+    return tuple(levels)
+
+
+def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
+    """One symmetric V-cycle for levels[0].matrix z = r, starting from z = 0."""
+    level = levels[0]
+    if level.inverse is not None:
+        return level.inverse @ r
+    a, w = level.matrix, level.jacobi
+    sweeps = SWEEPS if level.prolong is not None else COARSE_SWEEPS
+    z = w * r
+    for _ in range(sweeps - 1):
+        z += w * (r - a @ z)
+    if level.prolong is None:
+        return z
+    z += level.prolong @ _vcycle(levels[1:], level.restrict @ (r - a @ z))
+    for _ in range(sweeps):
+        z += w * (r - a @ z)
+    return z
 
 
 def solve_linear(system: LinearSystem, tol: float = 1e-10,
                  max_iter: int | None = None) -> PressureSolution:
-    """Jacobi-preconditioned CG down to a true relative residual <= tol.
+    """Multigrid-preconditioned CG down to a true relative residual <= tol.
 
+    The preconditioner is one symmetric V-cycle of `_hierarchy(system)`.
     A zero right-hand side short-circuits to the zero solution.  The result
-    is deterministic for fixed inputs (fixed operation order, no threading).
+    is deterministic for fixed inputs (fixed operation order).
     """
     m, b = system.matrix, system.rhs
     n = b.size
@@ -116,10 +204,10 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
     if b_norm == 0.0:
         return PressureSolution(p=full, iterations=0, residual=0.0)
 
-    inv_diag = 1.0 / m.diagonal()
+    levels = _hierarchy(system)
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r
+    z = _vcycle(levels, r)
     d = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -137,7 +225,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
             if residual <= tol:
                 break
             r = true_r
-        z = inv_diag * r
+        z = _vcycle(levels, r)
         rz_next = float(r @ z)
         d = z + (rz_next / rz) * d
         rz = rz_next
@@ -149,7 +237,8 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
                 f"(relative residual {residual:.3e} > tol {tol:.3e})")
 
     full[system.free_nodes] = x
-    return PressureSolution(p=full, iterations=iterations, residual=residual)
+    return PressureSolution(p=full, iterations=iterations, residual=residual,
+                            levels=tuple(level.matrix.shape[0] for level in levels))
 
 
 def residual_check(system: LinearSystem, solution: PressureSolution) -> float:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import roughlub
 from roughlub import cli
 
 SMOOTH_DOC = "grid.nx = 16\ngrid.ny = 16\n"
@@ -11,6 +17,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_entry_point_prints_usage():
+    src = str(Path(roughlub.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-m", "roughlub.cli", "--help"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: roughlub")
 
 
 class TestCoeffs:
@@ -64,6 +80,47 @@ class TestSolve:
         for name in listed:
             assert (out_dir / name).stat().st_size > 0
 
+    def test_manifest_reports_multigrid_levels(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "solve", "--scenario", "fig3",
+                         "--nx", "32", "--ny", "16", "--out", str(out_dir))
+        assert code == 0
+        manifest = dict(line.split("=", 1) for line in
+                        (out_dir / "manifest.txt").read_text().splitlines()
+                        if not line.startswith(("file=", "rough.region.")))
+        levels = [int(v) for v in manifest["solver.levels"].split(",")]
+        # the unknowns: nodes off {x=1}, {y=0} and {y=1}
+        assert levels[0] == 32 * 15
+        assert levels == sorted(levels, reverse=True)
+        assert int(manifest["iterations"]) >= 1
+
+    def test_csv_writers_match_per_value_formatting(self, tmp_path):
+        # the streaming writers format each distinct value once; the bytes
+        # must equal formatting every value in place, -0.0, nan and inf included
+        from roughlub.geometry import ScenarioConfig, build_fields
+        config = ScenarioConfig(nx=5, ny=3)
+        grid, fields = build_fields(config)
+        p = np.linspace(-1.0, 1.0, grid.n_nodes)
+        p[:4] = [-0.0, 0.0, np.nan, -np.inf]
+        h1 = fields.h1_bar.copy()
+        h1[:2] = [-0.0, 0.0]
+        fields = type(fields)(n_psi=fields.n_psi, a=fields.a, b=fields.b, h1_bar=h1)
+        cli._write_pressure_csv(tmp_path / "p.csv", config, p)
+        cli._write_fields_csv(tmp_path / "f.csv", config, grid, fields)
+        x, y = grid.node_coords()
+        expected = ["# nx=5 ny=3", "x,y,p"] + [
+            f"{xi:.17g},{yi:.17g},{pi:.17g}" for xi, yi, pi in zip(x, y, p)]
+        assert (tmp_path / "p.csv").read_text() == "\n".join(expected) + "\n"
+        bx, by = grid.cell_barycenters()
+        expected = ["x,y,n_psi,a,b,h1"] + [
+            ",".join(f"{v:.17g}" for v in row) for row in
+            zip(bx, by, fields.n_psi, fields.a, fields.b, fields.h1_bar)]
+        assert (tmp_path / "f.csv").read_text() == "\n".join(expected) + "\n"
+        assert (tmp_path / "p.csv").read_text().splitlines()[2:4] == [
+            "0,0,-0", "0.20000000000000001,0,0"]
+        rows = (tmp_path / "f.csv").read_text().splitlines()
+        assert rows[1].endswith(",-0") and rows[2].endswith(",0")
+
     def test_fig2_preset_uses_reference_data(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, _, _ = run(capsys, "solve", "--scenario", "fig2",
@@ -103,6 +160,8 @@ class TestSolve:
     @pytest.mark.parametrize("line, key", [
         ("rough.region.1 = 0.5,0,1,1,amp=0.1,wav=inf", "rough.region.1"),
         ("rough.region.1 = 0.5,0,1,1,amp=0.1,wav=1.5", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,n=nan", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,amp=nan,wav=1", "rough.region.1"),
         ("gap.c0 = nan", "gap.c0"),
         ("gap.c1 = inf", "gap.c1"),
     ])

@@ -73,6 +73,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="rough.region.1.*wav"):
             load_config(f"rough.region.1 = 0.5,0,1,1,amp=0.1,wav={wav}\n")
 
+    @pytest.mark.parametrize("params", ["n=nan", "n=inf", "amp=nan,wav=1",
+                                        "amp=inf,wav=2", "n=-1"])
+    def test_region_values_must_be_finite(self, params):
+        with pytest.raises(ConfigError, match="rough.region.2"):
+            load_config(f"rough.region.2 = 0.5,0,1,1,{params}\n")
+
     def test_tabulated_requires_table_path(self):
         with pytest.raises(ConfigError, match="gap.table_path"):
             load_config("gap.kind = tabulated\n")

@@ -1,6 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
+from roughlub import solver
 from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
                                ScenarioConfig, build_fields)
 from roughlub.solver import (ConvergenceError, assemble, oracle_1d,
@@ -105,6 +110,71 @@ class TestSolveLinear:
         b = solve_reynolds(config)
         assert np.array_equal(a.p, b.p)
         assert a.iterations == b.iterations
+
+
+FIG3 = RoughnessSpec((RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),))
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_iterations_bounded_under_refinement(self, n):
+        _, system = assembled(ScenarioConfig(nx=n, ny=n, roughness=FIG3))
+        assert solve_linear(system).iterations <= 12
+
+    def test_levels_coarsen_to_small_dense_level(self):
+        _, system = assembled(ScenarioConfig(nx=64, ny=64, roughness=FIG3))
+        levels = solve_linear(system).levels
+        assert levels == (4032, 992, 240, 56)
+        assert levels[0] == system.rhs.size
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (96, 64), (13, 7), (97, 64)])
+    def test_preconditioner_symmetric(self, nx, ny):
+        _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
+        levels = solver._hierarchy(system)
+        rng = np.random.default_rng(7)
+        u, v = rng.standard_normal((2, system.rhs.size))
+        mu, mv = solver._vcycle(levels, u), solver._vcycle(levels, v)
+        assert abs(u @ mv - v @ mu) <= 1e-12 * abs(u @ mv)
+        assert u @ mu > 0.0 and v @ mv > 0.0
+
+    @pytest.mark.parametrize("nx, ny, natural", [
+        (13, 7, False), (97, 64, False), (64, 64, True), (48, 12, True)])
+    def test_converges_on_odd_and_natural_grids(self, nx, ny, natural):
+        config = ScenarioConfig(nx=nx, ny=ny, roughness=FIG3,
+                                y_sides_natural=natural)
+        _, system = assembled(config)
+        solution = solve_linear(system, tol=1e-10)
+        assert solution.residual <= 1e-10
+        assert residual_check(system, solution) <= 1e-10
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (96, 64), (97, 64)])
+    def test_agrees_with_direct_solve(self, nx, ny):
+        _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
+        x = solve_linear(system, tol=1e-12).p[system.free_nodes]
+        direct = sla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert np.abs(x - direct).max() <= 1e-8 * np.abs(direct).max()
+
+    def test_hierarchy_freed_without_gc(self, monkeypatch):
+        # the levels are plain data without reference cycles, so they go as
+        # soon as solve_linear returns, not when the cyclic collector runs
+        _, system = assembled(ScenarioConfig(nx=64, ny=64, roughness=FIG3))
+        refs = []
+        vcycle = solver._vcycle
+
+        def spy(levels, r):
+            if not refs:
+                refs.extend(weakref.ref(level.matrix) for level in levels[1:])
+            return vcycle(levels, r)
+
+        monkeypatch.setattr(solver, "_vcycle", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solve_linear(system)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestResidualCheck:
