@@ -76,24 +76,14 @@ def assemble(grid: Grid, fields: CoefficientFields,
     k_cell = fields.h1_bar**3 * fields.a / 12.0
     if np.any(k_cell <= 0.0) or not np.all(np.isfinite(k_cell)):
         raise ValueError("non-elliptic cell: h^3 A / 12 must be positive everywhere")
-    # cell data padded by a ring of zeros: node (iy, ix) touches the padded
-    # cells [iy:iy+2, ix:ix+2], i.e. below-left, below-right, above-left, above-right
-    k = np.pad(k_cell.reshape(ny, nx), 1)
-    c = np.pad((fields.h1_bar * fields.b).reshape(ny, nx), 1)
-
-    # face conductances on the node lattice; zero across the outer boundary
-    west = 0.5 * (k[:-1, :-1] + k[1:, :-1]) * hy / hx
-    east = 0.5 * (k[:-1, 1:] + k[1:, 1:]) * hy / hx
-    south = 0.5 * (k[:-1, :-1] + k[:-1, 1:]) * hx / hy
-    north = 0.5 * (k[1:, :-1] + k[1:, 1:]) * hx / hy
-    x_link = -east.ravel()[:-1]           # node i to node i + 1
-    y_link = -north.ravel()[:-(nx + 1)]   # node i to node i + nx + 1
-    stiffness = sp.diags(
-        [y_link, x_link, (west + east + south + north).ravel(), x_link, y_link],
-        [-(nx + 1), -1, 0, 1, nx + 1], format="csr")
+    free = np.flatnonzero(~grid.dirichlet_mask())
+    # reduced before the load is built, so that the full-lattice temporaries
+    # of the two never coexist
+    matrix = _stiffness(grid, k_cell)[free][:, free]
 
     # int (h B) U_b . grad phi_i: half an edge times the difference of the
-    # cell terms on either side of the node
+    # cell terms on either side of the node (padded as in `_stiffness`)
+    c = np.pad((fields.h1_bar * fields.b).reshape(ny, nx), 1)
     c_left, c_right = c[:-1, :-1] + c[1:, :-1], c[:-1, 1:] + c[1:, 1:]
     c_below, c_above = c[:-1, :-1] + c[:-1, 1:], c[1:, :-1] + c[1:, 1:]
     rhs = 0.5 * (u_b[0] * hy * (c_left - c_right) + u_b[1] * hx * (c_below - c_above))
@@ -103,9 +93,27 @@ def assemble(grid: Grid, fields: CoefficientFields,
     inlet[1:, 0] += 0.5 * q_e * hy
     rhs = (rhs - inlet).ravel()
 
-    free = np.flatnonzero(~grid.dirichlet_mask())
-    return LinearSystem(matrix=stiffness[free][:, free], rhs=rhs[free],
-                        free_nodes=free, n_nodes=grid.n_nodes, nx=nx, ny=ny)
+    return LinearSystem(matrix=matrix, rhs=rhs[free], free_nodes=free,
+                        n_nodes=grid.n_nodes, nx=nx, ny=ny)
+
+
+def _stiffness(grid: Grid, k_cell: np.ndarray) -> sp.csr_matrix:
+    """5-point stiffness matrix on all grid nodes for the cell values k_cell."""
+    nx, ny = grid.nx, grid.ny
+    hx, hy = 1.0 / nx, 1.0 / ny
+    # cell data padded by a ring of zeros: node (iy, ix) touches the padded
+    # cells [iy:iy+2, ix:ix+2], i.e. below-left, below-right, above-left, above-right
+    k = np.pad(k_cell.reshape(ny, nx), 1)
+    # face conductances on the node lattice; zero across the outer boundary
+    west = 0.5 * (k[:-1, :-1] + k[1:, :-1]) * hy / hx
+    east = 0.5 * (k[:-1, 1:] + k[1:, 1:]) * hy / hx
+    south = 0.5 * (k[:-1, :-1] + k[:-1, 1:]) * hx / hy
+    north = 0.5 * (k[1:, :-1] + k[1:, 1:]) * hx / hy
+    x_link = -east.ravel()[:-1]           # node i to node i + 1
+    y_link = -north.ravel()[:-(nx + 1)]   # node i to node i + nx + 1
+    return sp.diags(
+        [y_link, x_link, (west + east + south + north).ravel(), x_link, y_link],
+        [-(nx + 1), -1, 0, 1, nx + 1], format="csr")
 
 
 # Multigrid preconditioner (Briggs, Henson & McCormick, "A Multigrid Tutorial",
