@@ -20,14 +20,14 @@ def main():
     parser.add_argument("--ny", type=int, default=64)
     args = parser.parse_args()
 
+    grid = ["--nx", str(args.nx), "--ny", str(args.ny)]
     for scenario in ("fig2", "fig3", "fig4", "fig5"):
-        code = cli.main(["solve", "--scenario", scenario,
-                         "--nx", str(args.nx), "--ny", str(args.ny),
+        code = cli.main(["solve", "--scenario", scenario, *grid,
                          "--out", f"{args.out}/{scenario}"])
         if code != 0:
             return code
         if scenario != "fig2":
-            code = cli.main(["compare", "--scenario", scenario,
+            code = cli.main(["compare", "--scenario", scenario, *grid,
                              "--out", f"{args.out}/{scenario}_compare"])
             if code != 0:
                 return code

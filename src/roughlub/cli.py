@@ -135,6 +135,17 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _output_dir(path: str) -> Path:
+    """Create the output directory (and parents) if needed."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from None
+    return out
+
+
 def cmd_coeffs(args) -> int:
     pair = coefficients(args.n)
     print(f"N={args.n:g} A={pair.a:#.6g} B={pair.b:#.6g}")
@@ -143,8 +154,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _load_scenario(args.config, args.scenario, args.nx, args.ny)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     start = time.perf_counter()
     grid, fields = build_fields(config)
     solution = solve_fields(config, grid, fields)
@@ -177,11 +187,10 @@ def cmd_velocity(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_scenario(args.config, args.scenario, None, None)
+    config = _load_scenario(args.config, args.scenario, args.nx, args.ny)
     if not config.roughness.regions:
         raise ConfigError("compare needs a scenario with at least one rough region")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     smooth_config = dataclasses.replace(config, roughness=RoughnessSpec())
     grid, fields = build_fields(config)
     p_smooth = solve_reynolds(smooth_config)
@@ -229,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare smooth vs rough pressure fields")
     p.add_argument("--config", help="scenario config file with rough regions")
     p.add_argument("--scenario", choices=sorted(PRESET_REGIONS))
+    p.add_argument("--nx", type=int, help="override cells in x")
+    p.add_argument("--ny", type=int, help="override cells in y")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
 

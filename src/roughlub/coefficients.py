@@ -15,17 +15,34 @@ built from the three Gaussian-kernel integrals
     I2(N) = int_0^1 exp(-N t^2 / 2) dt          (decay_integral)
     I3(N) = int_0^1 int_0^s exp(N (s^2 - t^2)/2) dt ds   (triangle_integral)
 
+With r = sqrt(N/2) these have closed forms in Dawson's integral and the
+scaled complementary error function erfcx (DLMF section 7):
+
+    I1 = e^{N/2} dawsn(r) / r,     I2 = sqrt(pi)/(2r) erf(r),
+    I3 = sqrt(pi)/(2r) (I1 - E),   E = int_0^1 erfcx(r s) ds,
+    A  = (12/N) [sqrt(pi/2N) (1 - erfcx(r) + (1 - e^{-N/2}) E r / dawsn(r)) - 1].
+
+Above ``_N_LARGE`` = 10 the coefficients use these forms, with E on a fixed
+64-node Gauss-Legendre rule.  At or below it, I1, I2 - 1 and I3 are that same
+fixed rule applied to the defining integrals (numpy only), and A keeps the
+grouping 12 (em I2 + (I2 - 1) - em I3 / I1) / N with em = e^{N/2} - 1, in
+which every term vanishes linearly with N.  I2 is the erf form at every N.
+
 For a flat surface N = 0 and the classical values A = 1, B = 1/2 are
 recovered.  The 1/N prefactors are removable singularities; below
 ``N_SWITCH`` the coefficients are evaluated from their Taylor expansions
 (A = 1 + N/20 + O(N^2), B = 1/2 + N/24 + O(N^2)) instead of the quotient
 form, which would lose all significant digits.
+
+``scipy.special`` is imported only inside the N > 10 branches: importing it
+costs tens of milliseconds, which every run of the command line would pay
+even when no such intensity occurs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +54,16 @@ N_SWITCH = 1e-6
 # products of kernel values stay finite.
 N_MAX = 700.0
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Fixed Gauss rules up to here, closed forms above.  The closed form of A
+# cancels as N -> 0, the grouped fixed-rule form at the e^{N/2} scale as N
+# grows (3e-12 relative at N = 20); both agree to ~1e-14 at the split.
+_N_LARGE = 10.0
 
-# Panel-doubling stops when successive composite estimates agree to this
-# tolerance (relative for large integrals, absolute near unit scale).
-_QUAD_TOL = 1e-13
-_MAX_PANELS = 512
+# One 64-node Gauss-Legendre rule on (0, 1), shared by every fixed-rule sum.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+_NODE_PRODUCTS_SQ = np.square(np.outer(_GL_NODES, _GL_NODES))  # (s_i u_k)^2
 
 
 class CoefficientPair(NamedTuple):
@@ -61,94 +82,52 @@ def _check_intensity(n: float) -> float:
     return n
 
 
-def _composite_gauss(f: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
-    """Composite 16-point Gauss-Legendre rule for int_0^1 f on `panels` panels."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    half = 0.5 / panels
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = mids[:, None] + half * _GL_NODES[None, :]
-    return float(half * np.sum(f(x) @ _GL_WEIGHTS))
+def _fixed_rule_kernels(n: float) -> tuple[float, float, float]:
+    """I1, I2 - 1 and I3 on the fixed Gauss rule (accurate for n <= _N_LARGE).
+
+    I3 = int_0^1 exp(n s^2/2) G(s) ds, where the inner integral
+    G(s) = s * int_0^1 exp(-n (s u)^2 / 2) du is taken on the same rule.
+    """
+    half = 0.5 * n
+    growth = np.exp(half * _GL_NODES * _GL_NODES)
+    inner = _GL_NODES * (np.exp(-half * _NODE_PRODUCTS_SQ) @ _GL_WEIGHTS)
+    return (float(_GL_WEIGHTS @ growth),
+            float(_GL_WEIGHTS @ np.expm1(-half * _GL_NODES * _GL_NODES)),
+            float(_GL_WEIGHTS @ (growth * inner)))
 
 
-def _doubling_quadrature(estimate: Callable[[int], float]) -> float:
-    panels = 1
-    prev = estimate(panels)
-    while panels < _MAX_PANELS:
-        panels *= 2
-        cur = estimate(panels)
-        if abs(cur - prev) <= _QUAD_TOL * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
+def _erfcx_mean(r: float) -> float:
+    """E = int_0^1 erfcx(r s) ds on the fixed Gauss rule."""
+    from scipy.special import erfcx
+    return float(_GL_WEIGHTS @ erfcx(r * _GL_NODES))
 
 
 def growth_integral(n: float) -> float:
     """I1(n) = int_0^1 exp(n s^2 / 2) ds."""
     n = _check_intensity(n)
-    return _doubling_quadrature(
-        lambda p: _composite_gauss(lambda s: np.exp(0.5 * n * s * s), p)
-    )
+    if n <= _N_LARGE:
+        return float(_GL_WEIGHTS @ np.exp(0.5 * n * _GL_NODES * _GL_NODES))
+    from scipy.special import dawsn
+    r = math.sqrt(0.5 * n)
+    return math.exp(0.5 * n) * float(dawsn(r)) / r
 
 
 def decay_integral(n: float) -> float:
     """I2(n) = int_0^1 exp(-n t^2 / 2) dt."""
     n = _check_intensity(n)
-    return _doubling_quadrature(
-        lambda p: _composite_gauss(lambda t: np.exp(-0.5 * n * t * t), p)
-    )
-
-
-def _decay_integral_minus_one(n: float) -> float:
-    """int_0^1 (exp(-n t^2 / 2) - 1) dt, accurate in absolute terms for small n."""
-    return _doubling_quadrature(
-        lambda p: _composite_gauss(lambda t: np.expm1(-0.5 * n * t * t), p)
-    )
+    if n == 0.0:
+        return 1.0
+    r = math.sqrt(0.5 * n)
+    return math.sqrt(math.pi) / (2.0 * r) * math.erf(r)
 
 
 def triangle_integral(n: float) -> float:
-    """I3(n) = int_0^1 int_0^s exp(n (s^2 - t^2) / 2) dt ds.
-
-    Evaluated as int_0^1 exp(n s^2/2) G(s) ds with G(s) = int_0^t exp(-n t^2/2) dt
-    computed on the same composite Gauss grid (substituting t = s*u).
-    """
+    """I3(n) = int_0^1 int_0^s exp(n (s^2 - t^2) / 2) dt ds."""
     n = _check_intensity(n)
-
-    def estimate(panels: int) -> float:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 / panels
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        u = (mids[:, None] + half * _GL_NODES[None, :]).ravel()  # nodes on (0,1)
-        w = np.tile(half * _GL_WEIGHTS, panels)
-        # G(s) = s * sum_k w_k exp(-n (s u_k)^2 / 2)
-        su = u[:, None] * u[None, :]  # s_i * u_k
-        g = u * (np.exp(-0.5 * n * su * su) @ w)
-        return float(np.sum(w * np.exp(0.5 * n * u * u) * g))
-
-    return _doubling_quadrature(estimate)
-
-
-def _complement_triangle_integral(n: float) -> float:
-    """I4(n) = int_0^1 int_s^1 exp(n (s^2 - t^2) / 2) dt ds (integrand <= 1)."""
-
-    def estimate(panels: int) -> float:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 / panels
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        u = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-        w = np.tile(half * _GL_WEIGHTS, panels)
-        # inner substitution t = s + (1-s) v maps [s,1] to the unit interval
-        s = u[:, None]
-        t = s + (1.0 - s) * u[None, :]
-        inner = (1.0 - u) * (np.exp(0.5 * n * (s * s - t * t)) @ w)
-        return float(np.sum(w * inner))
-
-    return _doubling_quadrature(estimate)
-
-
-# Above this intensity the direct grouping of A cancels at the e^{n/2} scale;
-# the complementary-triangle form stays accurate there (both agree to ~1e-13
-# at the crossover).
-_N_LARGE = 10.0
+    if n <= _N_LARGE:
+        return _fixed_rule_kernels(n)[2]
+    r = math.sqrt(0.5 * n)
+    return math.sqrt(math.pi) / (2.0 * r) * (growth_integral(n) - _erfcx_mean(r))
 
 
 def poiseuille_coeff(n: float) -> float:
@@ -160,18 +139,19 @@ def poiseuille_coeff(n: float) -> float:
     n = _check_intensity(n)
     if n < N_SWITCH:
         return 1.0 + n / 20.0
-    i1 = growth_integral(n)
-    i3 = triangle_integral(n)
     if n <= _N_LARGE:
-        i2 = decay_integral(n)
+        i1, i2m1, i3 = _fixed_rule_kernels(n)
         em = math.expm1(0.5 * n)  # e^{n/2} - 1
         # Grouped so every term vanishes linearly with n: dividing by n is
         # then benign instead of catastrophic.
-        return 12.0 * (em * i2 + _decay_integral_minus_one(n) - em * i3 / i1) / n
-    i4 = _complement_triangle_integral(n)
-    # Identity I1*I2 - I3 = I4 turns the difference of e^{n/2}-sized terms
-    # into two O(1) contributions.
-    return 12.0 * (math.exp(0.5 * n) * i4 / i1 + (i3 - i1) / i1) / n
+        return 12.0 * (em * (1.0 + i2m1) + i2m1 - em * i3 / i1) / n
+    from scipy.special import dawsn, erfcx
+    r = math.sqrt(0.5 * n)
+    # No term in the bracket is of size e^{n/2}: those parts of e^{n/2} I2
+    # and (e^{n/2} - 1) I3 / I1 cancel analytically.
+    bracket = (1.0 - float(erfcx(r))
+               - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / float(dawsn(r)))
+    return 12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0)
 
 
 def couette_coeff(n: float) -> float:

@@ -46,14 +46,27 @@ class GapProfile:
         for name, v in (("gap.c0", self.c0), ("gap.c1", self.c1)):
             if not math.isfinite(float(v)):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        # The gap must be positive everywhere: the constant gap is c0, and the
+        # channel ranges between c1 (x = 1/2) and c0 + c1 (x = 0 and x = 1).
+        if self.kind == "constant" and not self.c0 > 0.0:
+            raise ConfigError(f"gap.c0 must be > 0 for a constant gap, got {self.c0}")
+        if self.kind == "quadratic_channel":
+            if not self.c1 > 0.0:
+                raise ConfigError(f"gap.c1 must be > 0 (the channel gap at x = 1/2), "
+                                  f"got {self.c1}")
+            if not self.c0 + self.c1 > 0.0:
+                raise ConfigError(f"gap.c0 + gap.c1 must be > 0 (the channel gap at "
+                                  f"x = 0 and x = 1), got {self.c0} + {self.c1}")
         if self.kind == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated gap profile requires a table")
             t = np.asarray(self.table, dtype=float)
             if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
-                raise ConfigError(f"gap table must be 2-d with >= 2 rows/cols, got {t.shape}")
-            if not np.all(t > 0.0):
-                raise ConfigError("gap table must be positive everywhere")
+                raise ConfigError(f"gap.table_path: table must be 2-d with >= 2 "
+                                  f"rows/cols, got {t.shape}")
+            if not np.all(np.isfinite(t) & (t > 0.0)):
+                raise ConfigError("gap.table_path: table entries must be finite "
+                                  "and positive")
             object.__setattr__(self, "table", t)
 
 
@@ -334,7 +347,7 @@ def load_config(text: str) -> ScenarioConfig:
             raise ConfigError("key 'gap.table_path': required for gap.kind=tabulated")
         try:
             table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"key 'gap.table_path': cannot read {path!r}: {exc}") from None
     elif "gap.table_path" in values:
         raise ConfigError("key 'gap.table_path': only valid with gap.kind=tabulated")

@@ -10,6 +10,20 @@ J(Z) = int_0^Z int_0^s exp(n (s^2 - t^2)/2) dt ds.  The profile satisfies
 u(0) = U_b and u(1) = 0 by construction, and its gap-integrated flux
 h * int_0^1 u dZ reproduces the coefficient-level flux
 h B U_b - (h^3 A / 12) grad_p, which is the consistency check exported here.
+
+The kernels are evaluated directly, without adaptive quadrature, split at
+the coefficients' ``_N_LARGE`` = 10.  With a = n/2 and r = sqrt(a):
+
+* n <= 10: 48-term power series, all terms positive,
+  K(Z) = sum_k a^k Z^{2k+1} / (k! (2k+1)) and
+  J(Z) = sum_k a^k m_k Z^{2k+2} / k!, m_k = 4^k (k!)^2 / ((2k+1)! (2k+2)).
+* n > 10: K and J grow like e^{n/2}, so the profile is written in bounded
+  terms of Dawson's integral and erfcx:
+  K(Z)/K(1) = e^{-r^2 (1-Z^2)} dawsn(rZ) / dawsn(r), and integrating J by
+  parts, J(Z) = K(Z) G(Z) - L(Z) with G(Z) = int_0^Z exp(-n t^2/2) dt and
+  L(Z) = int_0^Z dawsn(rs)/r ds (a fixed 64-node Gauss rule), gives
+  J(Z) - J(1) K(Z)/K(1) = -(sqrt(pi)/(2 r^2)) dawsn(rZ)
+  [erfcx(rZ) - e^{-r^2 (1-Z^2)} erfcx(r)] - L(Z) + L(1) K(Z)/K(1).
 """
 
 from __future__ import annotations
@@ -19,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _check_intensity, couette_coeff, poiseuille_coeff
+from .coefficients import (_GL_NODES, _GL_WEIGHTS, _N_LARGE, _check_intensity,
+                           couette_coeff, poiseuille_coeff)
 from .geometry import Grid, RoughnessSpec
 from .solver import PressureSolution
 
@@ -45,38 +60,41 @@ class ComparisonReport:
     l2_outside_rough: float
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral at the even-index nodes of a uniform grid."""
-    chunks = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out = np.empty(chunks.size + 1)
-    out[0] = 0.0
-    np.cumsum(chunks, out=out[1:])
-    return out
+# Z^{2k} coefficients of K(Z)/Z and J(Z)/Z^2 without the factor a^k, one row
+# per k: 1/(k!(2k+1)) and m_k/k!.  At a <= 5 the first omitted a^k/k! is < 3e-28.
+_SERIES = np.array([[1.0 / (math.factorial(k) * (2 * k + 1)),
+                     4**k * math.factorial(k) / (math.factorial(2 * k + 1) * (2 * k + 2))]
+                    for k in range(48)])
 
 
-def _kernel_cumulatives(n: float, z_count: int, refine: int) -> tuple[np.ndarray, np.ndarray]:
-    """K and J at the z samples, via cumulative Simpson on a shared fine grid."""
-    m = z_count * refine            # fine intervals (refine is even)
-    zu = np.linspace(0.0, 1.0, 2 * m + 1)   # half-step grid for the inner integral
-    g_inner = np.exp(-0.5 * n * zu * zu)
-    g_cum = _cumulative_simpson(g_inner, 0.5 / m)  # G at every fine node
-    zf = zu[::2]
-    growth = np.exp(0.5 * n * zf * zf)
-    k_cum = _cumulative_simpson(growth, 1.0 / m)
-    j_cum = _cumulative_simpson(growth * g_cum, 1.0 / m)
-    # cumulative values land on even fine nodes; samples sit at multiples of
-    # refine, which is even, so refine//2 strides through the cumulative array
-    step = refine // 2
-    return k_cum[::step], j_cum[::step]
+def _kernel_profile(n: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K(Z)/K(1) and J(Z) - J(1) K(Z)/K(1) on samples with z[0] = 0, z[-1] = 1."""
+    if n <= _N_LARGE:
+        a = 0.5 * n
+        powers = np.vander(z * z, len(_SERIES), increasing=True)
+        kj = powers @ (_SERIES * a ** np.arange(len(_SERIES))[:, None])
+        k, j = z * kj[:, 0], z * z * kj[:, 1]
+        ratio = k / k[-1]
+        poiseuille = j - j[-1] * ratio
+    else:
+        from scipy.special import dawsn, erfcx  # deferred, as in .coefficients
+        r = math.sqrt(0.5 * n)
+        rz = r * z
+        damp = np.exp(-0.5 * n * (1.0 - z * z))
+        d = dawsn(rz)
+        ratio = damp * d / d[-1]
+        lz = z / r * (dawsn(rz[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+        poiseuille = (-math.sqrt(math.pi) / (2.0 * r * r) * d
+                      * (erfcx(rz) - damp * erfcx(r)) - lz + lz[-1] * ratio)
+    # exact wall values, so u(0) = U_b and u(1) = 0 hold bit for bit
+    ratio[0], ratio[-1] = 0.0, 1.0
+    poiseuille[0] = poiseuille[-1] = 0.0
+    return ratio, poiseuille
 
 
 def velocity_profile(h1: float, n: float, grad_p, u_b,
                      z_count: int = 64) -> VelocityProfile:
-    """Reconstruct u(Z) on z_count+1 uniform samples.
-
-    The two kernel primitives are integrated on a common refinement of the
-    sample grid, doubled until they agree to ~1e-10 absolutely.
-    """
+    """Reconstruct u(Z) on z_count+1 uniform samples."""
     n = _check_intensity(n)
     if z_count < 8:
         raise ValueError(f"z_count must be >= 8, got {z_count}")
@@ -88,24 +106,11 @@ def velocity_profile(h1: float, n: float, grad_p, u_b,
     if grad_p.shape != (2,) or u_b.shape != (2,):
         raise ValueError("grad_p and u_b must be 2-vectors")
 
-    refine = 2
-    k_cum, j_cum = _kernel_cumulatives(n, z_count, refine)
-    while refine < 256:
-        refine *= 2
-        k_new, j_new = _kernel_cumulatives(n, z_count, refine)
-        scale = max(1.0, abs(k_new[-1]), abs(j_new[-1]))
-        if (np.abs(k_new - k_cum).max() <= 1e-11 * scale
-                and np.abs(j_new - j_cum).max() <= 1e-11 * scale):
-            k_cum, j_cum = k_new, j_new
-            break
-        k_cum, j_cum = k_new, j_new
-
-    ratio = k_cum / k_cum[-1]
-    poiseuille = (j_cum - j_cum[-1] * ratio)[:, None] * grad_p[None, :]
-    couette = (1.0 - ratio)[:, None] * u_b[None, :]
     z = np.linspace(0.0, 1.0, z_count + 1)
-    return VelocityProfile(z=z, u=h1 * h1 * poiseuille + couette,
-                           n_psi=n, h1=h1, grad_p=grad_p, u_b=u_b)
+    ratio, poiseuille = _kernel_profile(n, z)
+    u = (h1 * h1 * poiseuille[:, None] * grad_p[None, :]
+         + (1.0 - ratio)[:, None] * u_b[None, :])
+    return VelocityProfile(z=z, u=u, n_psi=n, h1=h1, grad_p=grad_p, u_b=u_b)
 
 
 def flux_from_velocity(profile: VelocityProfile) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Independent brute-force quadrature oracles used across the test suite.
 
 Everything here is composite Simpson on uniform grids, deliberately distinct
-from the Gauss-Legendre panel-doubling used by the package itself.
+from the fixed Gauss rules and closed forms used by the package itself.
 """
 
 import numpy as np

@@ -19,14 +19,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_module_entry_point_prints_usage():
+def run_python(*args):
+    """Run a fresh interpreter that imports roughlub from this source tree."""
     src = str(Path(roughlub.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-m", "roughlub.cli", "--help"],
-                            capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_module_entry_point_prints_usage():
+    result = run_python("-m", "roughlub.cli", "--help")
     assert result.returncode == 0
     assert result.stdout.startswith("usage: roughlub")
+
+
+def test_startup_does_not_import_scipy_special():
+    # importing scipy.special costs tens of milliseconds per process; only
+    # intensities above 10 need it
+    result = run_python("-c", "import sys, roughlub.cli\n"
+                        "from roughlub import coefficients\n"
+                        "coefficients(2.0)\n"
+                        "print('scipy.special' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestCoeffs:
@@ -164,6 +180,9 @@ class TestSolve:
         ("rough.region.1 = 0.5,0,1,1,amp=nan,wav=1", "rough.region.1"),
         ("gap.c0 = nan", "gap.c0"),
         ("gap.c1 = inf", "gap.c1"),
+        ("gap.kind = constant\ngap.c0 = -1", "gap.c0"),
+        ("gap.c1 = 0", "gap.c1"),
+        ("gap.c0 = -2", "gap.c0"),
     ])
     def test_bad_config_value_exits_2_naming_key(self, capsys, tmp_path, line, key):
         config = tmp_path / "bad.cfg"
@@ -173,6 +192,30 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
+
+
+    def test_tabulated_gap_with_inf_exits_2_naming_key(self, capsys, tmp_path):
+        table = tmp_path / "gap.csv"
+        table.write_text("1.0,2.0\n1.0,inf\n")
+        config = tmp_path / "bad.cfg"
+        config.write_text(SMOOTH_DOC + f"gap.kind = tabulated\ngap.table_path = {table}\n")
+        code, _, err = run(capsys, "solve", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gap.table_path" in err
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_output_path_exits_2(self, capsys, tmp_path, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a regular file\n")
+        out = blocker / below if below else blocker
+        code, _, err = run(capsys, command, "--scenario", "fig3", "--nx", "8",
+                           "--ny", "8", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestVelocity:
@@ -210,6 +253,28 @@ class TestVelocity:
         expected = 0.5 * h1 * h1 * (z * z - z) * grad_p[0] + (1.0 - z) * 1.0
         assert np.abs(rows[:, 1] - expected).max() <= 1e-10
         assert np.abs(rows[:, 2] - 0.5 * h1 * h1 * (z * z - z) * grad_p[1]).max() <= 1e-10
+
+    def test_large_intensity_profile_is_bounded(self, capsys, tmp_path):
+        from roughlub.geometry import build_fields, load_config
+        from roughlub.postprocess import gradient_at
+        from roughlub.solver import solve_reynolds
+
+        doc = SMOOTH_DOC + "rough.region.1 = 0,0,1,1,n=300\n"
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(doc)
+        code, out, _ = run(capsys, "velocity", "--config", str(config_path),
+                           "--x", "0.25", "--y", "0.5", "--nz", "64")
+        assert code == 0
+        rows = np.array([list(map(float, line.split(",")))
+                         for line in out.splitlines()])
+        assert rows.shape == (65, 3) and np.all(np.isfinite(rows))
+
+        config = load_config(doc)
+        grid, fields = build_fields(config)
+        grad_p = gradient_at(solve_reynolds(config), grid, 0.25, 0.5)
+        h1 = fields.h1_bar[8 * 16 + 4]
+        bound = np.linalg.norm(config.u_b) + h1 * h1 * np.linalg.norm(grad_p)
+        assert np.linalg.norm(rows[:, 1:], axis=1).max() <= bound
 
     def test_boundary_point_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"
@@ -259,6 +324,16 @@ class TestCompare:
                        (out_dir / "metrics.txt").read_text().splitlines())
         assert float(metrics["l2"]) <= 1e-9
         assert float(metrics["linf"]) <= 1e-9
+
+    def test_grid_overrides(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "compare", "--scenario", "fig3", "--nx", "16",
+                         "--ny", "8", "--out", str(out_dir))
+        assert code == 0
+        for name in ("pressure_smooth.csv", "pressure_rough.csv", "difference.csv"):
+            lines = (out_dir / name).read_text().splitlines()
+            assert lines[0] == "# nx=16 ny=8"
+            assert len(lines) == 2 + 17 * 9
 
     def test_no_rough_region_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"

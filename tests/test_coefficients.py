@@ -84,6 +84,14 @@ class TestCoefficients:
         assert abs(poiseuille_coeff(below) - poiseuille_coeff(N_SWITCH)) <= 1e-9
         assert abs(couette_coeff(below) - couette_coeff(N_SWITCH)) <= 1e-9
 
+    def test_continuity_at_closed_form_split(self):
+        # fixed Gauss rules at N <= 10, Dawson/erfcx closed forms above
+        above = np.nextafter(10.0, 11.0)
+        assert abs(poiseuille_coeff(above) - poiseuille_coeff(10.0)) <= 1e-12
+        assert abs(couette_coeff(above) - couette_coeff(10.0)) <= 1e-12
+        for fn in (growth_integral, decay_integral, triangle_integral):
+            assert rel_err(fn(above), fn(10.0)) <= 1e-12
+
     def test_couette_near_zero(self):
         assert couette_coeff(1e-8) == pytest.approx(0.5, abs=1e-9)
 

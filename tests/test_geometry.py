@@ -115,6 +115,31 @@ class TestEvaluateGap:
         with pytest.raises(ConfigError):
             GapProfile(kind="tabulated", table=np.array([[1.0, -1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("kw, key", [
+        (dict(kind="constant", c0=-1.0), "gap.c0"),
+        (dict(kind="constant", c0=0.0), "gap.c0"),
+        (dict(c1=0.0), "gap.c1"),
+        (dict(c0=-2.0, c1=0.5), "gap.c0"),
+    ])
+    def test_nonpositive_constants_rejected(self, kw, key):
+        with pytest.raises(ConfigError, match=key):
+            GapProfile(**kw)
+
+    def test_negative_channel_curvature_allowed_while_positive(self):
+        profile = GapProfile(c0=-0.25, c1=0.5)
+        assert evaluate_gap(profile, 0.0, 0.5) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_table_rejected(self, bad):
+        with pytest.raises(ConfigError, match="gap.table_path"):
+            GapProfile(kind="tabulated", table=np.array([[1.0, bad], [1.0, 1.0]]))
+
+    def test_unparsable_table_file_names_key(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("1.0,abc\n1.0,2.0\n")
+        with pytest.raises(ConfigError, match="gap.table_path"):
+            load_config(f"gap.kind = tabulated\ngap.table_path = {path}\n")
+
     def test_nonfinite_constants_rejected(self):
         with pytest.raises(ConfigError, match="gap.c0"):
             GapProfile(kind="constant", c0=float("nan"))

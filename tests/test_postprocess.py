@@ -105,6 +105,22 @@ class TestFlux:
             h1, n, (gpx, 0.0), (ubx, 0.0))
         assert np.linalg.norm(gap) <= 1e-7
 
+    @pytest.mark.parametrize("n", [80.0, 100.0, 300.0, 700.0])
+    def test_consistency_at_large_intensity(self, n):
+        # the closed-form profile is bounded up to N_MAX; what remains is the
+        # Simpson error of the flux in the 1/sqrt(N) wall layer
+        grad_p, u_b = (0.8, -1.3), (1.0, 0.4)
+        profile = velocity_profile(1.0, n, grad_p, u_b, z_count=4096)
+        gap = flux_from_velocity(profile) - flux_from_coefficients(1.0, n, grad_p, u_b)
+        assert np.linalg.norm(gap) <= 1e-7
+        assert np.abs(profile.u).max() <= 1.0 + np.linalg.norm(grad_p)
+
+    def test_profile_continuous_across_closed_form_split(self):
+        below = velocity_profile(1.2, 10.0, (0.8, -1.3), (1.0, 0.4), z_count=128)
+        above = velocity_profile(1.2, np.nextafter(10.0, 11.0), (0.8, -1.3),
+                                 (1.0, 0.4), z_count=128)
+        assert np.abs(above.u - below.u).max() <= 1e-12
+
     def test_too_few_samples(self):
         profile = velocity_profile(1.0, 0.0, (1.0, 0.0), (0.0, 0.0), z_count=8)
         short = type(profile)(z=profile.z[:7], u=profile.u[:7], n_psi=0.0,
