@@ -19,6 +19,7 @@ import numpy as np
 from .coefficients import coefficients, cosine_roughness_intensity
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
+MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve needs about 300 bytes per cell
 
 
 class ConfigError(ValueError):
@@ -180,6 +181,8 @@ class Grid:
     set (ties resolve to Dirichlet).  With `y_sides_natural` the y = 0, 1
     sides become do-nothing boundaries instead; this exists only so that
     y-independent validation problems stay y-independent.
+
+    At most MAX_CELLS cells are accepted, checked before any array is built.
     """
 
     nx: int
@@ -189,6 +192,9 @@ class Grid:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ConfigError(f"grid needs nx, ny >= 2, got {self.nx} x {self.ny}")
+        if self.nx * self.ny > MAX_CELLS:
+            raise ConfigError(f"grid.nx * grid.ny must be <= {MAX_CELLS}, "
+                              f"got {self.nx} x {self.ny}")
 
     @property
     def n_nodes(self) -> int:
@@ -203,12 +209,16 @@ class Grid:
         iy = np.repeat(np.arange(self.ny + 1), self.nx + 1)
         return ix / self.nx, iy / self.ny
 
+    def free_lattice(self) -> tuple[slice, slice]:
+        """Slices (rows, cols) of the (ny + 1, nx + 1) node lattice that select
+        the free (non-Dirichlet) nodes.  They index from both ends, so they
+        select the free nodes of every coarser lattice with the same corners."""
+        return slice(None) if self.y_sides_natural else slice(1, -1), slice(None, -1)
+
     def dirichlet_mask(self) -> np.ndarray:
-        x, y = self.node_coords()
-        mask = x == 1.0
-        if not self.y_sides_natural:
-            mask |= (y == 0.0) | (y == 1.0)
-        return mask
+        mask = np.ones((self.ny + 1, self.nx + 1), dtype=bool)
+        mask[self.free_lattice()] = False
+        return mask.ravel()
 
     def inlet_mask(self) -> np.ndarray:
         x, _ = self.node_coords()
@@ -241,13 +251,11 @@ class ScenarioConfig:
     u_b: tuple[float, float] = (1.0, 0.0)
     q_e: float = 0.5
     tol: float = 1e-10
-    max_iter: int | None = None  # None -> 10 * number of free nodes
-    out_dir: str = "out"
+    max_iter: int | None = None  # None -> the solver's default, solver.MAX_ITER
     y_sides_natural: bool = False
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ConfigError(f"grid needs nx, ny >= 2, got {self.nx} x {self.ny}")
+        Grid(self.nx, self.ny)  # checks the cell counts without building arrays
         for name, v in (("ubx", self.u_b[0]), ("uby", self.u_b[1]), ("q_e", self.q_e)):
             if not math.isfinite(float(v)):
                 raise ConfigError(f"{name} must be finite, got {v}")
@@ -260,7 +268,7 @@ class ScenarioConfig:
 _KNOWN_KEYS = {
     "grid.nx", "grid.ny", "gap.kind", "gap.c0", "gap.c1", "gap.table_path",
     "velocity.ubx", "velocity.uby", "inlet.flux", "solver.tol",
-    "solver.max_iter", "output.dir",
+    "solver.max_iter",
 }
 
 
@@ -366,7 +374,6 @@ def load_config(text: str) -> ScenarioConfig:
         q_e=take("inlet.flux", float, 0.5),
         tol=take("solver.tol", float, 1e-10),
         max_iter=take("solver.max_iter", int, None),
-        out_dir=take("output.dir", str, "out"),
     )
 
 

@@ -20,13 +20,19 @@ grad phi_i to half its edges, so a node's load is the difference of the
 cell terms h B U_b on either side of it.  `assemble` builds that stencil
 directly; the solution is still the P1 solution.
 
-The reduced system (Dirichlet rows/columns eliminated) is symmetric positive
-definite and is solved with conjugate gradients preconditioned by one
-symmetric geometric-multigrid V-cycle: bilinear prolongation on the node
-lattice, Galerkin coarse operators P^T A P, two weighted-Jacobi sweeps
-before and after each coarse correction, and an exact dense solve on a
-small coarsest level.  The iteration count then stays bounded as the grid
-is refined, as long as the cell counts halve evenly down to that level.
+The free nodes form a tensor-product sub-lattice, `Grid.free_lattice()`, so
+the reduced system (Dirichlet rows/columns eliminated) is the stencil sliced
+to that sub-lattice.  It is symmetric positive definite and is solved with
+conjugate gradients preconditioned by one symmetric geometric-multigrid
+V-cycle: linear interpolation along each side, Galerkin coarse operators
+P^T A P, two weighted-Jacobi sweeps before and after each coarse correction,
+and an exact dense solve on a coarsest level of at most COARSEST unknowns.
+A side of odd cell count keeps its last node on the coarse lattice, so its
+last coarse interval is one fine interval wide.  A side is coarsened only
+while it has at least 4 cells and at least half as many as the other side;
+on a stretched grid the short side waits (semi-coarsening).  Every grid
+thus coarsens down to the dense level, and the iteration count stays
+bounded under refinement and on stretched and odd grids.
 """
 
 from __future__ import annotations
@@ -51,10 +57,17 @@ class LinearSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    free_nodes: np.ndarray  # grid node index of each unknown
-    n_nodes: int
-    nx: int  # cells per side: the nodes form an (ny + 1) x (nx + 1) lattice
-    ny: int
+    grid: Grid  # unknowns are the nodes of grid.free_lattice(), row-major
+
+    @property
+    def n_nodes(self) -> int:
+        return self.grid.n_nodes
+
+    @property
+    def free_nodes(self) -> np.ndarray:
+        """Grid node index of each unknown."""
+        lattice = np.arange(self.n_nodes).reshape(self.grid.ny + 1, self.grid.nx + 1)
+        return lattice[self.grid.free_lattice()].ravel()
 
 
 @dataclass(frozen=True)
@@ -76,10 +89,8 @@ def assemble(grid: Grid, fields: CoefficientFields,
     k_cell = fields.h1_bar**3 * fields.a / 12.0
     if np.any(k_cell <= 0.0) or not np.all(np.isfinite(k_cell)):
         raise ValueError("non-elliptic cell: h^3 A / 12 must be positive everywhere")
-    free = np.flatnonzero(~grid.dirichlet_mask())
-    # reduced before the load is built, so that the full-lattice temporaries
-    # of the two never coexist
-    matrix = _stiffness(grid, k_cell)[free][:, free]
+    # built before the load, so that the temporaries of the two never coexist
+    matrix = _stiffness(grid, k_cell)
 
     # int (h B) U_b . grad phi_i: half an edge times the difference of the
     # cell terms on either side of the node (padded as in `_stiffness`)
@@ -88,92 +99,104 @@ def assemble(grid: Grid, fields: CoefficientFields,
     c_below, c_above = c[:-1, :-1] + c[:-1, 1:], c[1:, :-1] + c[1:, 1:]
     rhs = 0.5 * (u_b[0] * hy * (c_left - c_right) + u_b[1] * hx * (c_below - c_above))
     # inlet edge term: int_{x=0} Q_e phi_i = Q_e * hy / 2 per edge endpoint
-    inlet = np.zeros((ny + 1, nx + 1))
-    inlet[:-1, 0] += 0.5 * q_e * hy
-    inlet[1:, 0] += 0.5 * q_e * hy
-    rhs = (rhs - inlet).ravel()
-
-    return LinearSystem(matrix=matrix, rhs=rhs[free], free_nodes=free,
-                        n_nodes=grid.n_nodes, nx=nx, ny=ny)
+    inlet = np.full(ny + 1, q_e * hy)
+    inlet[[0, -1]] *= 0.5
+    rhs[:, 0] -= inlet
+    return LinearSystem(matrix=matrix, rhs=rhs[grid.free_lattice()].ravel(), grid=grid)
 
 
 def _stiffness(grid: Grid, k_cell: np.ndarray) -> sp.csr_matrix:
-    """5-point stiffness matrix on all grid nodes for the cell values k_cell."""
+    """5-point stiffness matrix on the free nodes for the cell values k_cell."""
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     # cell data padded by a ring of zeros: node (iy, ix) touches the padded
     # cells [iy:iy+2, ix:ix+2], i.e. below-left, below-right, above-left, above-right
     k = np.pad(k_cell.reshape(ny, nx), 1)
-    # face conductances on the node lattice; zero across the outer boundary
-    west = 0.5 * (k[:-1, :-1] + k[1:, :-1]) * hy / hx
-    east = 0.5 * (k[:-1, 1:] + k[1:, 1:]) * hy / hx
-    south = 0.5 * (k[:-1, :-1] + k[:-1, 1:]) * hx / hy
-    north = 0.5 * (k[1:, :-1] + k[1:, 1:]) * hx / hy
-    x_link = -east.ravel()[:-1]           # node i to node i + 1
-    y_link = -north.ravel()[:-(nx + 1)]   # node i to node i + nx + 1
-    return sp.diags(
-        [y_link, x_link, (west + east + south + north).ravel(), x_link, y_link],
-        [-(nx + 1), -1, 0, 1, nx + 1], format="csr")
+    # face conductances on the node lattice, zero across the outer boundary,
+    # sliced to the free nodes
+    free = grid.free_lattice()
+    west = (0.5 * (k[:-1, :-1] + k[1:, :-1]) * hy / hx)[free]
+    east = (0.5 * (k[:-1, 1:] + k[1:, 1:]) * hy / hx)[free]
+    south = (0.5 * (k[:-1, :-1] + k[:-1, 1:]) * hx / hy)[free]
+    north = (0.5 * (k[1:, :-1] + k[1:, 1:]) * hx / hy)[free]
+    diagonal = (west + east + south + north).ravel()
+    east[:, -1] = 0.0                     # the last free column's east neighbour is pinned
+    x_link = -east.ravel()[:-1]           # unknown i to unknown i + 1
+    y_link = -north.ravel()[:-nx]         # unknown i to unknown i + nx (the row above)
+    return sp.diags([y_link, x_link, diagonal, x_link, y_link],
+                    [-nx, -1, 0, 1, nx], format="csr")
 
 
 # Multigrid preconditioner (Briggs, Henson & McCormick, "A Multigrid Tutorial",
-# SIAM 2000, ch. 3 and 8): bilinear prolongation on the node lattice, Galerkin
-# coarse operators, weighted Jacobi smoothing.
+# SIAM 2000, ch. 3 and 8): linear interpolation along each side, Galerkin
+# coarse operators, weighted Jacobi smoothing, semi-coarsening of stretched grids.
 OMEGA = 0.8          # Jacobi weight; omega * max eig(D^-1 A) < 2 keeps it SPD
 SWEEPS = 2           # pre- and post-smoothing sweeps per level
 COARSEST = 64        # coarsen while a level has more unknowns than this
-DENSE_MAX = 512      # a coarsest level up to this size is solved exactly
-COARSE_SWEEPS = 4    # Jacobi sweeps on a larger coarsest level
+MAX_ITER = 200       # default CG iteration cap; solves take 7 to 15 on fig3 grids
 
 
 @dataclass(frozen=True)
 class _Level:
-    """One level of the hierarchy; only the coarsest has no `prolong`."""
+    """One level of the hierarchy; the coarsest carries only its dense inverse."""
 
     matrix: sp.csr_matrix
-    jacobi: np.ndarray                      # omega / diagonal
+    jacobi: np.ndarray | None = None        # omega / diagonal
     restrict: sp.csr_matrix | None = None   # to the next coarser level
     prolong: sp.csr_matrix | None = None    # from the next coarser level
-    inverse: np.ndarray | None = None       # dense inverse of a small coarsest level
+    inverse: np.ndarray | None = None       # dense inverse of the coarsest level
 
 
-def _prolong_1d(n: int) -> sp.csr_matrix:
-    """Linear interpolation from n/2 + 1 coarse nodes to n + 1 fine nodes."""
+def _prolong_1d(n: int, flip: bool = False) -> sp.csr_matrix:
+    """Linear interpolation onto fine nodes 0..n from coarse nodes 0, 2, 4, ... and n.
+
+    For odd n the last coarse interval is one fine interval wide, so both end
+    nodes stay on the coarse lattice.  `flip` mirrors the coarse nodes to
+    n, n - 2, ... and 0, which moves that narrow interval to the first end.
+    """
+    coarse = np.unique(np.r_[0:n + 1:2, n])  # fine index of each coarse node
+    coarse = n - coarse[::-1] if flip else coarse
     fine = np.arange(n + 1)
-    odd = fine[1::2]
-    rows = np.concatenate([fine, odd])
-    cols = np.concatenate([fine // 2, odd // 2 + 1])
-    vals = np.concatenate([np.where(fine % 2 == 1, 0.5, 1.0), np.full(odd.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n // 2 + 1))
+    # coarse interval holding each fine node
+    left = np.minimum(np.searchsorted(coarse, fine, "right") - 1, coarse.size - 2)
+    t = (fine - coarse[left]) / (coarse[left + 1] - coarse[left])
+    rows, cols, vals = np.r_[fine, fine], np.r_[left, left + 1], np.r_[1.0 - t, t]
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n + 1, coarse.size))
+
+
+def _side_prolong(n: int, other: int, flip: bool) -> sp.csr_matrix:
+    """1-D prolongation of a side of n cells: coarsened while it has at least 4
+    cells and at least half as many as the other side, else the identity."""
+    if n >= 4 and 2 * n >= other:
+        return _prolong_1d(n, flip)
+    return sp.identity(n + 1, format="csr")
 
 
 def _hierarchy(system: LinearSystem) -> tuple[_Level, ...]:
-    """Galerkin levels A_c = P^T A P on the node lattice, finest first.
+    """Galerkin levels A_c = P^T A P on the free-node lattice, finest first.
 
-    P = kron(P_y, P_x) restricted to the free nodes of both lattices; a
-    coarse node is free iff the fine node at the same place is.  Coarsening
-    stops at an odd cell count, a side of fewer than 4 cells, or a level of
-    at most COARSEST unknowns.
+    P = kron(P_y, P_x) sliced to the free nodes of both lattices: the same
+    slices select them on every level.  Odd sides put their narrow coarse
+    interval at the last end on even levels and at the first end on odd ones,
+    so that it does not shrink relative to the others as levels go by.
+    Coarsening goes on while a level has more than COARSEST unknowns; the
+    coarsest level is inverted densely.
     """
-    a, nx, ny = system.matrix, system.nx, system.ny
-    free = np.zeros(system.n_nodes, dtype=bool)
-    free[system.free_nodes] = True
-    free = free.reshape(ny + 1, nx + 1)
+    a, grid = system.matrix, system.grid
+    rows, cols = grid.free_lattice()
+    nx, ny = grid.nx, grid.ny
     levels = []
-    while (nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) >= 4
-           and a.shape[0] > COARSEST):
-        coarse_free = free[::2, ::2]
-        prolong = sp.kron(_prolong_1d(ny), _prolong_1d(nx), format="csr")
-        prolong = prolong[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)]
+    while a.shape[0] > COARSEST:
+        flip = len(levels) % 2 == 1
+        p_x, p_y = _side_prolong(nx, ny, flip), _side_prolong(ny, nx, flip)
+        prolong = sp.kron(p_y[rows, rows], p_x[cols, cols], format="csr")
         restrict = prolong.T.tocsr()
         levels.append(_Level(a, OMEGA / a.diagonal(), restrict, prolong))
         a = (restrict @ a @ prolong).tocsr()
-        nx, ny, free = nx // 2, ny // 2, coarse_free
-    inverse = None
-    if a.shape[0] <= DENSE_MAX:
-        inverse = np.linalg.inv(a.toarray())
-        inverse = 0.5 * (inverse + inverse.T)
-    levels.append(_Level(a, OMEGA / a.diagonal(), inverse=inverse))
+        nx, ny = p_x.shape[1] - 1, p_y.shape[1] - 1
+    inverse = np.linalg.inv(a.toarray())
+    levels.append(_Level(a, inverse=0.5 * (inverse + inverse.T)))
     return tuple(levels)
 
 
@@ -183,14 +206,11 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
     if level.inverse is not None:
         return level.inverse @ r
     a, w = level.matrix, level.jacobi
-    sweeps = SWEEPS if level.prolong is not None else COARSE_SWEEPS
     z = w * r
-    for _ in range(sweeps - 1):
+    for _ in range(SWEEPS - 1):
         z += w * (r - a @ z)
-    if level.prolong is None:
-        return z
     z += level.prolong @ _vcycle(levels[1:], level.restrict @ (r - a @ z))
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         z += w * (r - a @ z)
     return z
 
@@ -204,16 +224,15 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
     is deterministic for fixed inputs (fixed operation order).
     """
     m, b = system.matrix, system.rhs
-    n = b.size
     if max_iter is None:
-        max_iter = 10 * n
+        max_iter = MAX_ITER
     b_norm = float(np.linalg.norm(b))
     full = np.zeros(system.n_nodes)
     if b_norm == 0.0:
         return PressureSolution(p=full, iterations=0, residual=0.0)
 
     levels = _hierarchy(system)
-    x = np.zeros(n)
+    x = np.zeros(b.size)
     r = b.copy()
     z = _vcycle(levels, r)
     d = z.copy()

@@ -45,6 +45,20 @@ def test_startup_does_not_import_scipy_special():
     assert result.stdout.strip() == "False"
 
 
+def test_oversized_grid_exits_2_before_allocating(tmp_path):
+    # the child's address space is capped at 4 GiB, so a grid that got past
+    # the check would fail with a MemoryError traceback, not exhaust the host
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))\n"
+            "from roughlub.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    result = run_python("-c", code, "solve", "--scenario", "fig3", "--nx", "200000",
+                        "--ny", "200000", "--out", str(tmp_path / "out"))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "grid.nx" in result.stderr and "grid.ny" in result.stderr
+
+
 class TestCoeffs:
     def test_smooth_values_exact(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "0")
@@ -172,6 +186,17 @@ class TestSolve:
                            "--out", str(tmp_path / "out"))
         assert code == 2
         assert "unknown key" in err
+
+    def test_output_dir_key_exits_2(self, capsys, tmp_path):
+        # the output directory comes from --out only
+        config = tmp_path / "old.cfg"
+        config.write_text(SMOOTH_DOC + "output.dir = elsewhere\n")
+        code, _, err = run(capsys, "solve", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unknown key 'output.dir'" in err
+        assert not (tmp_path / "elsewhere").exists()
 
     @pytest.mark.parametrize("line, key", [
         ("rough.region.1 = 0.5,0,1,1,amp=0.1,wav=inf", "rough.region.1"),

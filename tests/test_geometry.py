@@ -54,6 +54,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config("grid.nx=8\ngrid.nx=9\n")
 
+    def test_output_dir_key_is_unknown(self):
+        # --out is required on the command line, so the file key is not read
+        with pytest.raises(ConfigError, match="line 2.*unknown key 'output.dir'"):
+            load_config("grid.nx=8\noutput.dir = results\n")
+
+    def test_oversized_grid_rejected_naming_keys(self):
+        # 200000^2 cells would need about 12 TB; rejected before any array exists
+        with pytest.raises(ConfigError, match=r"grid\.nx \* grid\.ny"):
+            load_config("grid.nx = 200000\ngrid.ny = 200000\n")
+
     def test_bad_region_parameter(self):
         with pytest.raises(ConfigError, match="rough.region.1"):
             load_config("rough.region.1 = 0,0,1,1,frequency=3\n")
@@ -184,6 +194,25 @@ class TestGrid:
     def test_too_small(self):
         with pytest.raises(ConfigError):
             Grid(1, 4)
+
+    def test_cell_limit(self):
+        Grid(4096, 4096)  # at the limit: accepted, and nothing is allocated
+        for nx, ny in ((4097, 4096), (2**24 + 1, 2), (200000, 200000)):
+            with pytest.raises(ConfigError, match="grid.nx"):
+                Grid(nx, ny)
+            with pytest.raises(ConfigError, match="grid.nx"):
+                ScenarioConfig(nx=nx, ny=ny)
+
+    @pytest.mark.parametrize("nx, ny", [(5, 7), (6, 3)])
+    @pytest.mark.parametrize("natural", [False, True])
+    def test_free_lattice_selects_the_non_dirichlet_nodes(self, nx, ny, natural):
+        grid = Grid(nx, ny, y_sides_natural=natural)
+        x, y = grid.node_coords()
+        pinned = (x == 1.0) | (not natural) & ((y == 0.0) | (y == 1.0))
+        assert np.array_equal(grid.dirichlet_mask(), pinned)
+        lattice = np.arange(grid.n_nodes).reshape(ny + 1, nx + 1)
+        assert np.array_equal(np.sort(lattice[grid.free_lattice()].ravel()),
+                              np.flatnonzero(~pinned))
 
 
 class TestBuildFields:

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughlub import solver
 from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
@@ -57,6 +59,14 @@ class TestAssemble:
                  + (lattice[:-1, :] & lattice[1:, :]).sum())
         assert matrix.nnz == system.rhs.size + 2 * links
 
+    @pytest.mark.parametrize("nx, ny", [(13, 7), (48, 12)])
+    @pytest.mark.parametrize("natural", [False, True])
+    def test_free_nodes_are_the_non_dirichlet_nodes(self, nx, ny, natural):
+        grid, system = assembled(ScenarioConfig(nx=nx, ny=ny, y_sides_natural=natural))
+        free = np.flatnonzero(~grid.dirichlet_mask())
+        assert np.array_equal(system.free_nodes, free)
+        assert system.rhs.size == free.size
+
     def test_classical_limit_entrywise(self):
         # smooth fields must reproduce the h^3/12, h/2 weak form exactly
         config = ScenarioConfig(nx=12, ny=12)
@@ -104,6 +114,12 @@ class TestSolveLinear:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_linear(system, tol=1e-14, max_iter=3)
 
+    def test_default_iteration_cap_is_fixed(self):
+        # an unreachable tolerance stops at MAX_ITER, whatever the unknowns
+        _, system = assembled(ScenarioConfig(nx=16, ny=16))
+        with pytest.raises(ConvergenceError, match="in 200 iterations"):
+            solve_linear(system, tol=1e-17)
+
     def test_deterministic(self):
         config = ScenarioConfig(nx=24, ny=24)
         a = solve_reynolds(config)
@@ -113,6 +129,9 @@ class TestSolveLinear:
 
 
 FIG3 = RoughnessSpec((RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),))
+# a centred N = 700 patch in a channel narrowing to 0.01: h^3 A / 12 spans over 1e7
+CONTRAST = dict(roughness=RoughnessSpec((RoughRegion(0.25, 0.25, 0.75, 0.75, n=700.0),)),
+                gap=GapProfile(c1=0.01))
 
 
 class TestMultigrid:
@@ -120,6 +139,54 @@ class TestMultigrid:
     def test_iterations_bounded_under_refinement(self, n):
         _, system = assembled(ScenarioConfig(nx=n, ny=n, roughness=FIG3))
         assert solve_linear(system).iterations <= 12
+
+    @pytest.mark.parametrize("nx, ny", [
+        (250, 250), (100, 100), (97, 64), (1024, 16), (64, 512), (4096, 4), (13, 7)])
+    def test_iterations_bounded_on_odd_and_stretched_grids(self, nx, ny):
+        # odd and stretched grids coarsen too, down to the dense level
+        _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
+        solution = solve_linear(system)
+        assert solution.iterations <= 12
+        assert solution.levels[-1] <= solver.COARSEST
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (250, 250), (97, 64), (1024, 16)])
+    def test_iterations_bounded_under_contrast(self, nx, ny):
+        _, system = assembled(ScenarioConfig(nx=nx, ny=ny, **CONTRAST))
+        assert solve_linear(system).iterations <= 16
+
+    @settings(max_examples=30, deadline=None)
+    @given(nx=st.integers(2, 300), ny=st.integers(2, 300), natural=st.booleans())
+    def test_any_grid_preconditioned_and_converges(self, nx, ny, natural):
+        config = ScenarioConfig(nx=nx, ny=ny, roughness=FIG3, y_sides_natural=natural)
+        _, system = assembled(config)
+        levels = solver._hierarchy(system)
+        assert levels[-1].matrix.shape[0] <= solver.COARSEST
+        rng = np.random.default_rng(nx * 1000 + ny)
+        u, v = rng.standard_normal((2, system.rhs.size))
+        mu, mv = solver._vcycle(levels, u), solver._vcycle(levels, v)
+        assert abs(u @ mv - v @ mu) <= 1e-12 * abs(u @ mv)
+        assert u @ mu > 0.0 and v @ mv > 0.0
+        solution = solve_linear(system)
+        assert solution.iterations <= 20
+        assert residual_check(system, solution) <= config.tol
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_prolongation_reproduces_linear_functions(self, n, flip):
+        # coarse nodes sit at fine nodes 0, 2, 4, ... and n, or mirrored
+        coarse = np.unique(np.r_[0:n + 1:2, n])
+        if flip:
+            coarse = n - coarse[::-1]
+        prolong = solver._prolong_1d(n, flip)
+        assert prolong.shape == (n + 1, coarse.size)
+        assert np.array_equal(prolong @ (3.0 * coarse - 1.0), 3.0 * np.arange(n + 1) - 1.0)
+
+    def test_odd_sides_alternate_the_narrow_interval(self):
+        # 289 -> 145 -> 73 cells on natural y sides: with the narrow coarse
+        # interval always at the last end this took 23 iterations
+        config = ScenarioConfig(nx=41, ny=289, roughness=FIG3, y_sides_natural=True)
+        _, system = assembled(config)
+        assert solve_linear(system).iterations <= 16
 
     def test_levels_coarsen_to_small_dense_level(self):
         _, system = assembled(ScenarioConfig(nx=64, ny=64, roughness=FIG3))
