@@ -22,7 +22,9 @@ def main():
     errors = []
     sizes = [16 * 2**k for k in range(args.levels)]
     for nx in sizes:
-        config = ScenarioConfig(nx=nx, ny=4, tol=1e-12, y_sides_natural=True)
+        # the solver's default tol 1e-10: with natural y sides the system's own
+        # precision floor rises with nx (a relative residual of 1.6e-12 at 256x4)
+        config = ScenarioConfig(nx=nx, ny=4, y_sides_natural=True)
         _, ys = Grid(config.nx, config.ny).node_coords()
         row = solve_reynolds(config).p[ys == 0.0]
         _, p_ref = oracle_1d(config.gap, config.roughness, u_bx=1.0,

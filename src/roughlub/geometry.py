@@ -154,12 +154,17 @@ class RoughnessSpec:
                         f"({s.x0},{s.y0})-({s.x1},{s.y1}) overlap")
 
     def intensity_at(self, x, y):
-        """Pointwise intensity field (0 on the smooth part); vectorized."""
+        """Pointwise intensity field (0 on the smooth part); vectorized.
+
+        Regions are closed rectangles, so on an edge shared by two touching
+        regions both contain the point; there the larger intensity wins,
+        whatever the order of the regions.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
         for r in self.regions:
-            out = np.where(r.contains(x, y), r.intensity(), out)
+            out = np.where(r.contains(x, y), np.maximum(out, r.intensity()), out)
         return float(out) if out.ndim == 0 else out
 
     def inside_any(self, x, y):

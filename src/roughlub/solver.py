@@ -33,18 +33,26 @@ while it has at least 4 cells and at least half as many as the other side;
 on a stretched grid the short side waits (semi-coarsening).  Every grid
 thus coarsens down to the dense level, and the iteration count stays
 bounded under refinement and on stretched and odd grids.
+
+``scipy.sparse`` is imported inside the functions that build matrices, on
+the first assembly: importing it costs about 0.3 s, which `import roughlub`,
+`coefficients`, `velocity_profile` and `roughlub coeffs` would otherwise pay
+without ever solving.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import couette_coeff, poiseuille_coeff
 from .geometry import (CoefficientFields, GapProfile, Grid, RoughnessSpec,
                        ScenarioConfig, build_fields, evaluate_gap)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ConvergenceError(RuntimeError):
@@ -107,6 +115,7 @@ def assemble(grid: Grid, fields: CoefficientFields,
 
 def _stiffness(grid: Grid, k_cell: np.ndarray) -> sp.csr_matrix:
     """5-point stiffness matrix on the free nodes for the cell values k_cell."""
+    import scipy.sparse as sp
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
     # cell data padded by a ring of zeros: node (iy, ix) touches the padded
@@ -154,6 +163,7 @@ def _prolong_1d(n: int, flip: bool = False) -> sp.csr_matrix:
     nodes stay on the coarse lattice.  `flip` mirrors the coarse nodes to
     n, n - 2, ... and 0, which moves that narrow interval to the first end.
     """
+    import scipy.sparse as sp
     coarse = np.unique(np.r_[0:n + 1:2, n])  # fine index of each coarse node
     coarse = n - coarse[::-1] if flip else coarse
     fine = np.arange(n + 1)
@@ -168,6 +178,7 @@ def _prolong_1d(n: int, flip: bool = False) -> sp.csr_matrix:
 def _side_prolong(n: int, other: int, flip: bool) -> sp.csr_matrix:
     """1-D prolongation of a side of n cells: coarsened while it has at least 4
     cells and at least half as many as the other side, else the identity."""
+    import scipy.sparse as sp
     if n >= 4 and 2 * n >= other:
         return _prolong_1d(n, flip)
     return sp.identity(n + 1, format="csr")
@@ -183,6 +194,7 @@ def _hierarchy(system: LinearSystem) -> tuple[_Level, ...]:
     Coarsening goes on while a level has more than COARSEST unknowns; the
     coarsest level is inverted densely.
     """
+    import scipy.sparse as sp
     a, grid = system.matrix, system.grid
     rows, cols = grid.free_lattice()
     nx, ny = grid.nx, grid.ny
@@ -251,7 +263,12 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
             residual = float(np.linalg.norm(true_r) / b_norm)
             if residual <= tol:
                 break
+            # restart from the true residual: the old direction and r.z belong to
+            # the drifted recurrence residual, and keeping them makes it grow
             r = true_r
+            z = _vcycle(levels, r)
+            d, rz = z, float(r @ z)
+            continue
         z = _vcycle(levels, r)
         rz_next = float(r @ z)
         d = z + (rz_next / rz) * d

@@ -45,6 +45,54 @@ def test_startup_does_not_import_scipy_special():
     assert result.stdout.strip() == "False"
 
 
+SCIPY_LOADED = "\nimport sys\nprint([m for m in sys.modules if m.startswith('scipy')])\n"
+
+
+@pytest.mark.parametrize("code", [
+    # what every `roughlub` invocation pays before it does any work
+    "import roughlub.cli\nfrom roughlub import coefficients\ncoefficients(2.0)",
+    "from roughlub import velocity_profile\n"
+    "velocity_profile(1.0, 2.0, [0.8, -1.3], [1.0, 0.4])",
+    "from roughlub.cli import main\nassert main(['coeffs', '--n', '2']) == 0",
+    "import contextlib\nfrom roughlub.cli import main\n"
+    "with contextlib.suppress(SystemExit):\n    main(['--help'])",
+    "from roughlub.cli import main\n"
+    "assert main(['solve', '--scenario', 'fig3', '--nx', '1', '--out', 'unused']) == 2",
+], ids=["setup", "velocity_profile", "coeffs", "help", "input_error"])
+def test_entry_points_without_a_solve_load_no_scipy(code):
+    # importing scipy.sparse costs about 0.3 s per process; it is loaded by
+    # the first assembly only
+    result = run_python("-c", code + SCIPY_LOADED)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_large_intensity_loads_special_but_not_sparse():
+    result = run_python("-c", "import sys\nfrom roughlub import coefficients\n"
+                        "coefficients(700.0)\n"
+                        "print('scipy.special' in sys.modules, 'scipy.sparse' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True False"
+
+
+def test_manifest_wall_time_excludes_scipy_import(tmp_path):
+    # a fresh process imports scipy.sparse (about 0.3 s) before the timer starts
+    result = run_python("-m", "roughlub.cli", "solve", "--scenario", "fig3", "--nx", "8",
+                        "--ny", "8", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    manifest = dict(line.split("=", 1) for line in
+                    (tmp_path / "manifest.txt").read_text().splitlines())
+    assert float(manifest["wall_time_s"]) < 0.1
+
+
+def test_convergence_study_reaches_second_order():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+    result = run_python(str(script), "--levels", "5")
+    assert result.returncode == 0, result.stderr
+    last_order = float(result.stdout.splitlines()[-1].split()[-1])
+    assert abs(last_order - 2.0) <= 0.05
+
+
 def test_oversized_grid_exits_2_before_allocating(tmp_path):
     # the child's address space is capped at 4 GiB, so a grid that got past
     # the check would fail with a MemoryError traceback, not exhaust the host

@@ -265,6 +265,20 @@ class TestBuildFields:
             assert a == poiseuille_coeff(n)
             assert b == couette_coeff(n)
 
+    def test_touching_regions_independent_of_order(self):
+        # at nx = 4 the barycenters x = 0.375 lie on the shared edge, where
+        # the larger intensity wins in either order
+        left = RoughRegion(0.0, 0.0, 0.375, 1.0, n=1.0)
+        right = RoughRegion(0.375, 0.0, 1.0, 1.0, n=3.0)
+        grid, forward = build_fields(ScenarioConfig(
+            nx=4, ny=4, roughness=RoughnessSpec((left, right))))
+        _, backward = build_fields(ScenarioConfig(
+            nx=4, ny=4, roughness=RoughnessSpec((right, left))))
+        assert np.array_equal(forward.n_psi, backward.n_psi)
+        bx, _ = grid.cell_barycenters()
+        assert np.all(forward.n_psi[bx == 0.375] == 3.0)
+        assert np.all(forward.n_psi[bx < 0.375] == 1.0)
+
     def test_refinement_keeps_interior_values(self):
         region = RoughRegion(0.25, 0.0, 0.75, 1.0, n=2.0)
         for nx in (8, 16, 32):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestSolveLinear:
         _, system = assembled(ScenarioConfig(nx=16, ny=16))
         with pytest.raises(ConvergenceError, match="in 200 iterations"):
             solve_linear(system, tol=1e-17)
+
+    def test_failed_true_residual_check_restarts_cg(self):
+        # 256x4 with natural y sides cannot reach 1e-12 (its sparse-LU floor is
+        # 1.6e-12); restarted CG stalls at that floor instead of drifting away
+        _, system = assembled(ScenarioConfig(nx=256, ny=4, y_sides_natural=True))
+        with pytest.raises(ConvergenceError, match="in 200 iterations") as failure:
+            solve_linear(system, tol=1e-12)
+        residual = float(re.search(r"relative residual (\S+)", str(failure.value))[1])
+        assert residual <= 2e-12
 
     def test_deterministic(self):
         config = ScenarioConfig(nx=24, ny=24)
