@@ -172,8 +172,8 @@ def cmd_solve(args) -> int:
 
 def cmd_velocity(args) -> int:
     config = _load_scenario(args.config, None, None, None)
-    if args.nz < 8:
-        raise ConfigError(f"--nz must be >= 8, got {args.nz}")
+    if not 8 <= args.nz <= postprocess.Z_COUNT_MAX:
+        raise ConfigError(f"--nz must be in [8, {postprocess.Z_COUNT_MAX}], got {args.nz}")
     grid, fields = build_fields(config)
     solution = solve_fields(config, grid, fields)
     grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)
@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--nz", type=int, default=64)
+    p.add_argument("--nz", type=int, default=64,
+                   help=f"gap intervals in [8, {postprocess.Z_COUNT_MAX}]")
     p.set_defaults(func=cmd_velocity)
 
     p = sub.add_parser("compare", help="compare smooth vs rough pressure fields")

@@ -2,6 +2,8 @@
 
 Everything here is composite Simpson on uniform grids, deliberately distinct
 from the fixed Gauss rules and closed forms used by the package itself.
+Special functions (Dawson's integral) are taken from ``scipy.special``; only
+the quadrature is independent.
 """
 
 import numpy as np
@@ -19,6 +21,19 @@ def cumulative_simpson(y, h):
     """Cumulative integral at the even-index nodes of uniformly sampled y."""
     chunks = h / 3.0 * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
     return np.concatenate(([0.0], np.cumsum(chunks)))
+
+
+def dawson_primitive_oracle(r, z_count, panels=2**16):
+    """L(Z_j) = int_0^{Z_j} dawsn(r s)/r ds at Z_j = j / z_count, j = 0..z_count.
+
+    Cumulative Simpson on a grid that gives every sample interval the same
+    whole number of panels, about `panels` in all.
+    """
+    from scipy.special import dawsn
+    per_interval = max(1, panels // z_count)
+    s = np.linspace(0.0, 1.0, 2 * per_interval * z_count + 1)
+    l = cumulative_simpson(dawsn(r * s) / r, 0.5 / (per_interval * z_count))
+    return l[::per_interval]
 
 
 def growth_oracle(n, panels=2**16):

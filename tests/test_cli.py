@@ -107,6 +107,21 @@ def test_oversized_grid_exits_2_before_allocating(tmp_path):
     assert "grid.nx" in result.stderr and "grid.ny" in result.stderr
 
 
+def test_oversized_nz_exits_2_before_allocating(tmp_path):
+    # 10^8 intervals would need tens of GB; the child is capped at 2 GiB
+    config = tmp_path / "patch.cfg"
+    config.write_text(SMOOTH_DOC + "rough.region.1 = 0.25,0.25,0.75,0.75,n=20\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from roughlub.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    result = run_python("-c", code, "velocity", "--config", str(config), "--x", "0.5",
+                        "--y", "0.5", "--nz", "100000000")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert "--nz" in result.stderr and "[8, 65536]" in result.stderr
+
+
 class TestCoeffs:
     def test_smooth_values_exact(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "0")

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +8,13 @@ from hypothesis import strategies as st
 
 from roughlub.geometry import (RoughnessSpec, RoughRegion, ScenarioConfig,
                                build_fields)
-from roughlub.postprocess import (compare_fields, flux_from_coefficients,
+from roughlub.postprocess import (Z_COUNT_MAX, _dawson_primitive,
+                                  compare_fields, flux_from_coefficients,
                                   flux_from_velocity, gradient_at,
                                   velocity_profile)
 from roughlub.solver import PressureSolution, solve_reynolds
 
-from oracles import simpson
+from oracles import dawson_primitive_oracle, simpson
 
 
 def couette_poiseuille(h1, z, grad_p, u_b):
@@ -49,13 +53,40 @@ class TestVelocityProfile:
         assert np.abs(double.u - 2.0 * single.u).max() <= 1e-12
 
     @pytest.mark.parametrize("kw", [dict(h1=-1.0), dict(n=-0.5), dict(n=701.0),
-                                    dict(z_count=4)])
+                                    dict(z_count=4), dict(z_count=Z_COUNT_MAX + 1)])
     def test_domain_errors(self, kw):
         args = dict(h1=1.0, n=1.0, grad_p=(1.0, 0.0), u_b=(1.0, 0.0),
                     z_count=16)
         args.update(kw)
         with pytest.raises(ValueError):
             velocity_profile(**args)
+
+    def test_largest_z_count(self):
+        profile = velocity_profile(1.0, 700.0, (0.8, -1.3), (1.0, 0.4),
+                                   z_count=Z_COUNT_MAX)
+        assert profile.u.shape == (Z_COUNT_MAX + 1, 2)
+        assert np.all(np.isfinite(profile.u))
+        assert np.array_equal(profile.u[0], [1.0, 0.4])
+
+    @pytest.mark.parametrize("z_count", [8, 9, 256, 4096])
+    @pytest.mark.parametrize("n", [10.5, 30.0, 200.0, 700.0])
+    def test_dawson_primitive_against_simpson_oracle(self, z_count, n):
+        r = math.sqrt(0.5 * n)
+        lz = _dawson_primitive(r, np.linspace(0.0, 1.0, z_count + 1))
+        expected = dawson_primitive_oracle(r, z_count)
+        assert np.abs(lz - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_peak_memory_at_4096_intervals(self):
+        # one 16-node rule per interval: about 0.9 MB; a 64-node rule on
+        # every [0, Z_j] took 4.4 MB
+        velocity_profile(1.0, 700.0, (1.0, 0.0), (1.0, 0.0), z_count=4096)
+        tracemalloc.start()
+        try:
+            velocity_profile(1.0, 700.0, (1.0, 0.0), (1.0, 0.0), z_count=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestFlux:
