@@ -174,6 +174,9 @@ def cmd_velocity(args) -> int:
     config = _load_scenario(args.config, None, None, None)
     if not 8 <= args.nz <= postprocess.Z_COUNT_MAX:
         raise ConfigError(f"--nz must be in [8, {postprocess.Z_COUNT_MAX}], got {args.nz}")
+    for flag, value in (("--x", args.x), ("--y", args.y)):
+        if not 0.0 < value < 1.0:  # false for nan as well
+            raise ConfigError(f"{flag} must be inside (0, 1), got {value}")
     grid, fields = build_fields(config)
     solution = solve_fields(config, grid, fields)
     grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)

@@ -22,21 +22,22 @@ scaled complementary error function erfcx (DLMF section 7):
     I3 = sqrt(pi)/(2r) (I1 - E),   E = int_0^1 erfcx(r s) ds,
     A  = (12/N) [sqrt(pi/2N) (1 - erfcx(r) + (1 - e^{-N/2}) E r / dawsn(r)) - 1].
 
-Above ``_N_LARGE`` = 10 the coefficients use these forms, with E on a fixed
-64-node Gauss-Legendre rule.  At or below it, I1, I2 - 1 and I3 are that same
-fixed rule applied to the defining integrals (numpy only), and A keeps the
-grouping 12 (em I2 + (I2 - 1) - em I3 / I1) / N with em = e^{N/2} - 1, in
-which every term vanishes linearly with N.  I2 is the erf form at every N.
+``coefficients(N)`` is the one evaluation of A and B; ``poiseuille_coeff``
+and ``couette_coeff`` read its fields.  It computes each kernel once per call.
+Above ``_N_LARGE`` = 10 it uses these forms, with E on a fixed 64-node
+Gauss-Legendre rule and one dawsn(r) shared by A and B.  At or below it, I1
+(``growth_integral``), I2 - 1 and I3 are that same fixed rule applied to the
+defining integrals (numpy only), and A keeps the grouping
+12 (em I2 + (I2 - 1) - em I3 / I1) / N with em = e^{N/2} - 1, in which every
+term vanishes linearly with N.  I2 is the erf form at every N.
 
-For a flat surface N = 0 and the classical values A = 1, B = 1/2 are
-recovered.  The 1/N prefactors are removable singularities; below
-``N_SWITCH`` the coefficients are evaluated from their Taylor expansions
-(A = 1 + N/20 + O(N^2), B = 1/2 + N/24 + O(N^2)) instead of the quotient
-form, which would lose all significant digits.
+A flat surface, N = 0, recovers the classical A = 1, B = 1/2.  The 1/N
+prefactors are removable singularities: below ``N_SWITCH`` the Taylor forms
+A = 1 + N/20 + O(N^2), B = 1/2 + N/24 + O(N^2) replace the quotient form,
+which would lose all significant digits.
 
-``scipy.special`` is imported only inside the N > 10 branches: importing it
-costs tens of milliseconds, which every run of the command line would pay
-even when no such intensity occurs.
+``scipy.special`` is imported only for N > 10: importing it costs tens of
+milliseconds, which every command-line run would otherwise pay.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def _check_intensity(n: float) -> float:
     return n
 
 
-def _fixed_rule_kernels(n: float) -> tuple[float, float, float]:
-    """I1, I2 - 1 and I3 on the fixed Gauss rule (accurate for n <= _N_LARGE).
+def _fixed_rule_kernels(n: float) -> tuple[float, float]:
+    """I2 - 1 and I3 on the fixed Gauss rule (accurate for n <= _N_LARGE).
 
     I3 = int_0^1 exp(n s^2/2) G(s) ds, where the inner integral
     G(s) = s * int_0^1 exp(-n (s u)^2 / 2) du is taken on the same rule.
@@ -91,8 +92,7 @@ def _fixed_rule_kernels(n: float) -> tuple[float, float, float]:
     half = 0.5 * n
     growth = np.exp(half * _GL_NODES * _GL_NODES)
     inner = _GL_NODES * (np.exp(-half * _NODE_PRODUCTS_SQ) @ _GL_WEIGHTS)
-    return (float(_GL_WEIGHTS @ growth),
-            float(_GL_WEIGHTS @ np.expm1(-half * _GL_NODES * _GL_NODES)),
+    return (float(_GL_WEIGHTS @ np.expm1(-half * _GL_NODES * _GL_NODES)),
             float(_GL_WEIGHTS @ (growth * inner)))
 
 
@@ -125,46 +125,46 @@ def triangle_integral(n: float) -> float:
     """I3(n) = int_0^1 int_0^s exp(n (s^2 - t^2) / 2) dt ds."""
     n = _check_intensity(n)
     if n <= _N_LARGE:
-        return _fixed_rule_kernels(n)[2]
+        return _fixed_rule_kernels(n)[1]
     r = math.sqrt(0.5 * n)
     return math.sqrt(math.pi) / (2.0 * r) * (growth_integral(n) - _erfcx_mean(r))
 
 
-def poiseuille_coeff(n: float) -> float:
-    """Effective multiplier of the pressure-driven h^3/12 flux term.
+def coefficients(n: float) -> CoefficientPair:
+    """Poiseuille multiplier A (on h^3/12) and Couette multiplier B (for 1/2).
 
-    Equals 1 for a smooth surface and stays positive over the supported
+    A equals 1 for a smooth surface and stays positive over the supported
     intensity range, so the homogenized pressure equation remains elliptic.
     """
     n = _check_intensity(n)
     if n < N_SWITCH:
-        return 1.0 + n / 20.0
+        return CoefficientPair(1.0 + n / 20.0, 0.5 + n / 24.0)
+    em = math.expm1(0.5 * n)  # e^{n/2} - 1
     if n <= _N_LARGE:
-        i1, i2m1, i3 = _fixed_rule_kernels(n)
-        em = math.expm1(0.5 * n)  # e^{n/2} - 1
+        i1 = growth_integral(n)
+        i2m1, i3 = _fixed_rule_kernels(n)
         # Grouped so every term vanishes linearly with n: dividing by n is
         # then benign instead of catastrophic.
-        return 12.0 * (em * (1.0 + i2m1) + i2m1 - em * i3 / i1) / n
+        return CoefficientPair(12.0 * (em * (1.0 + i2m1) + i2m1 - em * i3 / i1) / n,
+                               em / n / i1)
     from scipy.special import dawsn, erfcx
     r = math.sqrt(0.5 * n)
+    d = float(dawsn(r))
     # No term in the bracket is of size e^{n/2}: those parts of e^{n/2} I2
     # and (e^{n/2} - 1) I3 / I1 cancel analytically.
-    bracket = (1.0 - float(erfcx(r))
-               - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / float(dawsn(r)))
-    return 12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0)
+    bracket = 1.0 - float(erfcx(r)) - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / d
+    return CoefficientPair(12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0),
+                           em / n / (math.exp(0.5 * n) * d / r))  # I1 = e^{n/2} d / r
+
+
+def poiseuille_coeff(n: float) -> float:
+    """A(n), the multiplier of the pressure-driven h^3/12 flux term."""
+    return coefficients(n).a
 
 
 def couette_coeff(n: float) -> float:
-    """Effective multiplier of the shear-driven h*U_b flux term (1/2 when smooth)."""
-    n = _check_intensity(n)
-    if n < N_SWITCH:
-        return 0.5 + n / 24.0
-    return math.expm1(0.5 * n) / n / growth_integral(n)
-
-
-def coefficients(n: float) -> CoefficientPair:
-    """Both corrections at intensity ``n``."""
-    return CoefficientPair(poiseuille_coeff(n), couette_coeff(n))
+    """B(n), the multiplier of the shear-driven h*U_b flux term (1/2 when smooth)."""
+    return coefficients(n).b
 
 
 def cosine_roughness_intensity(amplitude: float, wavenumber: int) -> float:
@@ -176,11 +176,18 @@ def cosine_roughness_intensity(amplitude: float, wavenumber: int) -> float:
     """
     amplitude = float(amplitude)
     if not math.isfinite(amplitude) or amplitude < 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     wavenumber = int(wavenumber)
     if wavenumber < 1:
         raise ValueError(f"wavenumber must be a positive integer, got {wavenumber}")
-    return 0.5 * amplitude**2 * (2.0 * math.pi * wavenumber) ** 2
+    try:
+        n = 0.5 * amplitude**2 * (2.0 * math.pi * wavenumber) ** 2
+    except OverflowError:
+        n = math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"ripple intensity overflows: amplitude {amplitude:g}, "
+                         f"wavenumber {wavenumber:g}")
+    return n
 
 
 def tabulated_roughness_intensity(gradient_samples) -> float:

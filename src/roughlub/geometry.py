@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import coefficients, cosine_roughness_intensity
+from .coefficients import N_MAX, coefficients, cosine_roughness_intensity
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
 MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve needs about 300 bytes per cell
@@ -43,7 +43,7 @@ class GapProfile:
 
     def __post_init__(self):
         if self.kind not in GAP_KINDS:
-            raise ConfigError(f"unknown gap kind {self.kind!r}, expected one of {GAP_KINDS}")
+            raise ConfigError(f"gap.kind must be one of {GAP_KINDS}, got {self.kind!r}")
         for name, v in (("gap.c0", self.c0), ("gap.c1", self.c1)):
             if not math.isfinite(float(v)):
                 raise ConfigError(f"{name} must be finite, got {v}")
@@ -123,10 +123,12 @@ class RoughRegion:
             raise ConfigError("rough region needs either n=<value> or amp=,wav= (not both)")
         if cosine and (self.amplitude is None or self.wavenumber is None):
             raise ConfigError("cosine rough region needs both amp= and wav=")
-        if direct and not (math.isfinite(self.n) and self.n >= 0.0):
-            raise ConfigError(f"rough region intensity must be finite and >= 0, got {self.n}")
-        if cosine and not math.isfinite(self.amplitude):
-            raise ConfigError(f"rough region amplitude must be finite, got {self.amplitude}")
+        try:
+            n = self.intensity()
+        except ValueError as exc:
+            raise ConfigError(f"rough region {exc}") from None
+        if not 0.0 <= n <= N_MAX:  # false for nan as well
+            raise ConfigError(f"rough region intensity must be in [0, {N_MAX:g}], got {n}")
 
     def intensity(self) -> float:
         if self.n is not None:
@@ -196,7 +198,7 @@ class Grid:
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
-            raise ConfigError(f"grid needs nx, ny >= 2, got {self.nx} x {self.ny}")
+            raise ConfigError(f"grid.nx and grid.ny must be >= 2, got {self.nx} x {self.ny}")
         if self.nx * self.ny > MAX_CELLS:
             raise ConfigError(f"grid.nx * grid.ny must be <= {MAX_CELLS}, "
                               f"got {self.nx} x {self.ny}")
@@ -261,11 +263,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         Grid(self.nx, self.ny)  # checks the cell counts without building arrays
-        for name, v in (("ubx", self.u_b[0]), ("uby", self.u_b[1]), ("q_e", self.q_e)):
+        for name, v in (("velocity.ubx", self.u_b[0]), ("velocity.uby", self.u_b[1]),
+                        ("inlet.flux", self.q_e)):
             if not math.isfinite(float(v)):
                 raise ConfigError(f"{name} must be finite, got {v}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ConfigError(f"solver tolerance must be positive, got {self.tol}")
+            raise ConfigError(f"solver.tol must be positive and finite, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError(f"solver.max_iter must be >= 1, got {self.max_iter}")
 

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (_N_LARGE, _check_intensity, couette_coeff,
-                           poiseuille_coeff)
+from .coefficients import _N_LARGE, _check_intensity, coefficients
 from .geometry import Grid, RoughnessSpec
 from .solver import PressureSolution
 
@@ -161,7 +160,8 @@ def flux_from_coefficients(h1: float, n: float, grad_p, u_b) -> np.ndarray:
     h1 = float(h1)
     grad_p = np.asarray(grad_p, dtype=float)
     u_b = np.asarray(u_b, dtype=float)
-    return h1 * couette_coeff(n) * u_b - h1**3 * poiseuille_coeff(n) / 12.0 * grad_p
+    a, b = coefficients(n)
+    return h1 * b * u_b - h1**3 * a / 12.0 * grad_p
 
 
 def gradient_at(solution: PressureSolution, grid: Grid, x: float, y: float) -> np.ndarray:

@@ -122,6 +122,23 @@ def test_oversized_nz_exits_2_before_allocating(tmp_path):
     assert "--nz" in result.stderr and "[8, 65536]" in result.stderr
 
 
+@pytest.mark.parametrize("x, y, flag", [("0", "0.5", "--x"), ("0.5", "1", "--y"),
+                                        ("nan", "0.5", "--x")])
+def test_point_outside_square_exits_2_before_solving(tmp_path, x, y, flag):
+    # a 4096^2 solve needs several GB; the child is capped at 2 GiB
+    config = tmp_path / "big.cfg"
+    config.write_text("grid.nx = 4096\ngrid.ny = 4096\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from roughlub.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    result = run_python("-c", code, "velocity", "--config", str(config), "--x", x,
+                        "--y", y)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+    assert flag in result.stderr
+
+
 class TestCoeffs:
     def test_smooth_values_exact(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "0")
@@ -271,15 +288,41 @@ class TestSolve:
         ("gap.kind = constant\ngap.c0 = -1", "gap.c0"),
         ("gap.c1 = 0", "gap.c1"),
         ("gap.c0 = -2", "gap.c0"),
+        ("gap.kind = bogus", "gap.kind"),
+        ("gap.kind = tabulated\ngap.table_path = {one_row}", "gap.table_path"),
+        ("gap.table_path = {one_row}", "gap.table_path"),
+        ("grid.nx = 1", "grid.nx"),
+        ("grid.nx = abc", "grid.nx"),
+        ("inlet.flux = inf", "inlet.flux"),
+        ("velocity.ubx = nan", "velocity.ubx"),
+        ("velocity.uby = -inf", "velocity.uby"),
+        ("solver.tol = 0", "solver.tol"),
+        ("solver.max_iter = 0", "solver.max_iter"),
+        ("solver.max_iter = 1.5", "solver.max_iter"),
+        ("rough.region.1 = 0.5,0,1,1", "rough.region.1"),
+        ("rough.region.1 = a,0,1,1,n=2", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,2", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,n=abc", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1.5,1,n=2", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,n=800", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,amp=-1,wav=1", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,amp=1e200,wav=1", "rough.region.1"),
+        ("rough.region.1 = 0.5,0,1,1,amp=1,wav=1e300", "rough.region.1"),
+        ("rough.region.x = 0.5,0,1,1,n=2", "rough.region.x"),
+        ("rough.region.1 = 0.5,0,1,1,n=2\nrough.region.1 = 0,0,0.5,1,n=2",
+         "rough.region.1"),
     ])
     def test_bad_config_value_exits_2_naming_key(self, capsys, tmp_path, line, key):
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("1.0,2.0\n")
         config = tmp_path / "bad.cfg"
-        config.write_text(SMOOTH_DOC + line + "\n")
-        code, _, err = run(capsys, "solve", "--config", str(config),
-                           "--out", str(tmp_path / "out"))
+        config.write_text("grid.ny = 16\n" + line.format(one_row=one_row) + "\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "solve", "--config", str(config), "--out", str(out_dir))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
+        assert not out_dir.exists()
 
 
     def test_tabulated_gap_with_inf_exits_2_naming_key(self, capsys, tmp_path):
@@ -292,6 +335,17 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "gap.table_path" in err
+
+    @pytest.mark.parametrize("line", ["inlet.flux = 1e200", "inlet.flux = 1e154",
+                                      "velocity.ubx = 1e308"])
+    def test_overflowing_data_exits_1_without_csv(self, capsys, tmp_path, line):
+        config = tmp_path / "huge.cfg"
+        config.write_text(SMOOTH_DOC + line + "\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "solve", "--config", str(config), "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (out_dir / "pressure.csv").exists()
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("below", ["", "sub"])

@@ -104,9 +104,13 @@ class TestCoefficients:
             assert poiseuille_coeff(n) > 0.0
 
     def test_pair_helper(self):
-        pair = coefficients(2.0)
-        assert pair.a == poiseuille_coeff(2.0)
-        assert pair.b == couette_coeff(2.0)
+        for n in (0.0, 5e-7, 2.0, 3.0, 10.0, math.nextafter(10.0, 11.0), 50.0, 700.0):
+            pair = coefficients(n)
+            assert pair.a == poiseuille_coeff(n)
+            assert pair.b == couette_coeff(n)
+            if n >= N_SWITCH:
+                # B is (e^{n/2} - 1) / n / I1 with the I1 of growth_integral, bit for bit
+                assert pair.b == math.expm1(0.5 * n) / n / growth_integral(n)
 
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)
@@ -126,7 +130,11 @@ class TestRoughnessIntensity:
     def test_cosine_wavenumber_two(self):
         assert cosine_roughness_intensity(1.0, 2) == pytest.approx(8.0 * math.pi**2, rel=1e-14)
 
-    @pytest.mark.parametrize("amp,wav", [(-0.1, 1), (1.0, 0), (1.0, -2)])
+    @pytest.mark.parametrize("amp,wav", [
+        (-0.1, 1), (1.0, 0), (1.0, -2),
+        # the intensity overflows: amp**2 or (2 pi wav)**2 raise OverflowError,
+        # and 1e150 with 1e10 multiplies out to inf
+        (1e200, 1), pytest.param(1.0, 10**300, id="1.0-1e300"), (1e150, 10**10)])
     def test_cosine_domain_errors(self, amp, wav):
         with pytest.raises(ValueError):
             cosine_roughness_intensity(amp, wav)

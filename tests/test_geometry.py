@@ -257,10 +257,13 @@ class TestBuildFields:
 
     def test_coefficient_invariants_per_cell(self):
         from roughlub.coefficients import couette_coeff, poiseuille_coeff
-        config = ScenarioConfig(
-            nx=6, ny=6,
-            roughness=RoughnessSpec((RoughRegion(0.0, 0.0, 0.5, 1.0, n=3.0),)))
+        # one region per regime: Taylor, fixed rule, closed form; smooth elsewhere
+        config = ScenarioConfig(nx=6, ny=6, roughness=RoughnessSpec((
+            RoughRegion(0.0, 0.0, 0.5, 0.5, n=5e-7),
+            RoughRegion(0.5, 0.0, 1.0, 0.5, n=3.0),
+            RoughRegion(0.0, 0.5, 0.5, 1.0, n=50.0))))
         _, fields = build_fields(config)
+        assert set(fields.n_psi) == {0.0, 5e-7, 3.0, 50.0}
         for n, a, b in zip(fields.n_psi, fields.a, fields.b):
             assert a == poiseuille_coeff(n)
             assert b == couette_coeff(n)

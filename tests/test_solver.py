@@ -115,6 +115,15 @@ class TestSolveLinear:
         with pytest.raises(ConvergenceError, match="residual"):
             solve_linear(system, tol=1e-14, max_iter=3)
 
+    @pytest.mark.parametrize("data", [dict(q_e=1e200), dict(q_e=1e154),
+                                      dict(u_b=(1e308, 0.0))])
+    def test_overflow_raises_convergence_error(self, data):
+        # the products in CG overflow to a nan residual; that is no convergence,
+        # and it is reported without a numpy warning
+        _, system = assembled(ScenarioConfig(nx=16, ny=16, **data))
+        with pytest.raises(ConvergenceError, match="relative residual nan"):
+            solve_linear(system)
+
     def test_default_iteration_cap_is_fixed(self):
         # an unreachable tolerance stops at MAX_ITER, whatever the unknowns
         _, system = assembled(ScenarioConfig(nx=16, ny=16))
