@@ -92,14 +92,13 @@ def _write_rows(path: Path, header: str, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _write_pressure_csv(path: Path, config: ScenarioConfig, p: np.ndarray,
+def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
                         value_name: str = "p") -> None:
-    nx, ny = config.nx, config.ny
-    _write_rows(path, f"# nx={nx} ny={ny}\nx,y,{value_name}\n",
-                (*Grid(nx, ny).node_coords(), p))
+    _write_rows(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
+                (*grid.node_coords(), p))
 
 
-def _write_fields_csv(path: Path, config: ScenarioConfig, grid, fields) -> None:
+def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
     _write_rows(path, "x,y,n_psi,a,b,h1\n",
                 (*grid.cell_barycenters(), fields.n_psi, fields.a, fields.b,
                  fields.h1_bar))
@@ -161,8 +160,8 @@ def cmd_solve(args) -> int:
     grid, fields = build_fields(config)
     solution = solve_fields(config, grid, fields)
     wall = time.perf_counter() - start
-    _write_pressure_csv(out / "pressure.csv", config, solution.p)
-    _write_fields_csv(out / "fields.csv", config, grid, fields)
+    _write_pressure_csv(out / "pressure.csv", grid, solution.p)
+    _write_fields_csv(out / "fields.csv", grid, fields)
     files = ["pressure.csv", "fields.csv"]
     _write_manifest(out / "manifest.txt", args.scenario or "custom", config,
                     files, solution, wall)
@@ -180,9 +179,8 @@ def cmd_velocity(args) -> int:
     grid, fields = build_fields(config)
     solution = solve_fields(config, grid, fields)
     grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)
-    cx = min(int(args.x * config.nx), config.nx - 1)
-    cy = min(int(args.y * config.ny), config.ny - 1)
-    cell = cy * config.nx + cx
+    cx, cy = grid.cell_at(args.x, args.y)
+    cell = cy * grid.nx + cx
     profile = postprocess.velocity_profile(
         fields.h1_bar[cell], fields.n_psi[cell], grad_p, config.u_b,
         z_count=args.nz)
@@ -201,9 +199,9 @@ def cmd_compare(args) -> int:
     p_smooth = solve_reynolds(smooth_config)
     p_rough = solve_fields(config, grid, fields)
     report = postprocess.compare_fields(p_smooth, p_rough, grid, config.roughness)
-    _write_pressure_csv(out / "pressure_smooth.csv", config, p_smooth.p)
-    _write_pressure_csv(out / "pressure_rough.csv", config, p_rough.p)
-    _write_pressure_csv(out / "difference.csv", config, p_rough.p - p_smooth.p,
+    _write_pressure_csv(out / "pressure_smooth.csv", grid, p_smooth.p)
+    _write_pressure_csv(out / "pressure_rough.csv", grid, p_rough.p)
+    _write_pressure_csv(out / "difference.csv", grid, p_rough.p - p_smooth.p,
                         value_name="dp")
     (out / "metrics.txt").write_text(
         f"l2={_fmt(report.l2)}\nlinf={_fmt(report.linf)}\n"

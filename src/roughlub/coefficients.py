@@ -29,7 +29,8 @@ Gauss-Legendre rule and one dawsn(r) shared by A and B.  At or below it, I1
 (``growth_integral``), I2 - 1 and I3 are that same fixed rule applied to the
 defining integrals (numpy only), and A keeps the grouping
 12 (em I2 + (I2 - 1) - em I3 / I1) / N with em = e^{N/2} - 1, in which every
-term vanishes linearly with N.  I2 is the erf form at every N.
+term vanishes linearly with N.  ``decay_integral`` gives I2 by the erf form
+at every N.
 
 A flat surface, N = 0, recovers the classical A = 1, B = 1/2.  The 1/N
 prefactors are removable singularities: below ``N_SWITCH`` the Taylor forms
@@ -189,20 +190,3 @@ def cosine_roughness_intensity(amplitude: float, wavenumber: int) -> float:
                          f"wavenumber {wavenumber:g}")
     return n
 
-
-def tabulated_roughness_intensity(gradient_samples) -> float:
-    """Intensity from ripple-gradient samples on a uniform periodic unit cell.
-
-    `gradient_samples` holds one gradient vector per grid point (last axis =
-    components); a 1-d array is read as scalar gradients on a 1-d cell.  On a
-    periodic uniform grid the trapezoid rule reduces to the plain average, so
-    the result is the mean squared gradient norm (unit cell volume = 1).
-    """
-    g = np.asarray(gradient_samples, dtype=float)
-    if g.size == 0:
-        raise ValueError("gradient sample grid is empty")
-    grid_shape = g.shape if g.ndim == 1 else g.shape[:-1]
-    if any(m < 2 for m in grid_shape):
-        raise ValueError(f"need >= 2 samples per grid direction, got shape {g.shape}")
-    sq = g * g if g.ndim == 1 else np.sum(g * g, axis=-1)
-    return float(np.mean(sq))

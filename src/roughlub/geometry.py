@@ -49,8 +49,10 @@ class GapProfile:
                 raise ConfigError(f"{name} must be finite, got {v}")
         # The gap must be positive everywhere: the constant gap is c0, and the
         # channel ranges between c1 (x = 1/2) and c0 + c1 (x = 0 and x = 1).
-        if self.kind == "constant" and not self.c0 > 0.0:
-            raise ConfigError(f"gap.c0 must be > 0 for a constant gap, got {self.c0}")
+        if self.kind == "constant":
+            if not self.c0 > 0.0:
+                raise ConfigError(f"gap.c0 must be > 0 for a constant gap, got {self.c0}")
+            keys, gaps = "gap.c0", (self.c0, self.c0)
         if self.kind == "quadratic_channel":
             if not self.c1 > 0.0:
                 raise ConfigError(f"gap.c1 must be > 0 (the channel gap at x = 1/2), "
@@ -58,6 +60,7 @@ class GapProfile:
             if not self.c0 + self.c1 > 0.0:
                 raise ConfigError(f"gap.c0 + gap.c1 must be > 0 (the channel gap at "
                                   f"x = 0 and x = 1), got {self.c0} + {self.c1}")
+            keys, gaps = "gap.c0, gap.c1", sorted((self.c1, self.c0 + self.c1))
         if self.kind == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated gap profile requires a table")
@@ -69,6 +72,14 @@ class GapProfile:
                 raise ConfigError("gap.table_path: table entries must be finite "
                                   "and positive")
             object.__setattr__(self, "table", t)
+            keys, gaps = "gap.table_path", (t.min(), t.max())
+        # The equation weighs h^3: it must be finite at the largest gap (gaps[1])
+        # and a normal double at the smallest, so h^3 A / 12 is finite and positive.
+        with np.errstate(over="ignore"):
+            cubes = np.array(gaps, dtype=float) ** 3
+        if not (np.isfinite(cubes[1]) and cubes[0] >= np.finfo(float).tiny):
+            raise ConfigError(f"{keys}: gaps {gaps[0]:g} to {gaps[1]:g} leave about "
+                              f"[2.8e-103, 5.6e+102], where h^3 is a finite normal double")
 
 
 def evaluate_gap(profile: GapProfile, x, y):
@@ -207,10 +218,6 @@ class Grid:
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
 
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
-
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         ix = np.tile(np.arange(self.nx + 1), self.ny + 1)
         iy = np.repeat(np.arange(self.ny + 1), self.nx + 1)
@@ -222,14 +229,10 @@ class Grid:
         select the free nodes of every coarser lattice with the same corners."""
         return slice(None) if self.y_sides_natural else slice(1, -1), slice(None, -1)
 
-    def dirichlet_mask(self) -> np.ndarray:
-        mask = np.ones((self.ny + 1, self.nx + 1), dtype=bool)
-        mask[self.free_lattice()] = False
-        return mask.ravel()
-
-    def inlet_mask(self) -> np.ndarray:
-        x, _ = self.node_coords()
-        return (x == 0.0) & ~self.dirichlet_mask()
+    def cell_at(self, x: float, y: float) -> tuple[int, int]:
+        """Column and row (cx, cy) of the cell holding the point (x, y) of the
+        square; points on a shared edge go to the cell above or to the right."""
+        return min(int(x * self.nx), self.nx - 1), min(int(y * self.ny), self.ny - 1)
 
     def cell_barycenters(self) -> tuple[np.ndarray, np.ndarray]:
         bx = (np.tile(np.arange(self.nx), self.ny) + 0.5) / self.nx
@@ -258,7 +261,6 @@ class ScenarioConfig:
     u_b: tuple[float, float] = (1.0, 0.0)
     q_e: float = 0.5
     tol: float = 1e-10
-    max_iter: int | None = None  # None -> the solver's default, solver.MAX_ITER
     y_sides_natural: bool = False
 
     def __post_init__(self):
@@ -269,14 +271,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError(f"solver.tol must be positive and finite, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ConfigError(f"solver.max_iter must be >= 1, got {self.max_iter}")
 
 
 _KNOWN_KEYS = {
     "grid.nx", "grid.ny", "gap.kind", "gap.c0", "gap.c1", "gap.table_path",
     "velocity.ubx", "velocity.uby", "inlet.flux", "solver.tol",
-    "solver.max_iter",
 }
 
 
@@ -381,7 +380,6 @@ def load_config(text: str) -> ScenarioConfig:
         u_b=(take("velocity.ubx", float, 1.0), take("velocity.uby", float, 0.0)),
         q_e=take("inlet.flux", float, 0.5),
         tol=take("solver.tol", float, 1e-10),
-        max_iter=take("solver.max_iter", int, None),
     )
 
 

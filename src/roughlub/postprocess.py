@@ -170,8 +170,7 @@ def gradient_at(solution: PressureSolution, grid: Grid, x: float, y: float) -> n
         raise ValueError(f"point ({x}, {y}) is not interior to the unit square")
     nx, ny = grid.nx, grid.ny
     hx, hy = 1.0 / nx, 1.0 / ny
-    cx = min(int(x * nx), nx - 1)
-    cy = min(int(y * ny), ny - 1)
+    cx, cy = grid.cell_at(x, y)
     xi = (x - cx * hx) / hx
     eta = (y - cy * hy) / hy
     n00 = cy * (nx + 1) + cx

@@ -69,13 +69,9 @@ class LinearSystem:
     grid: Grid  # unknowns are the nodes of grid.free_lattice(), row-major
 
     @property
-    def n_nodes(self) -> int:
-        return self.grid.n_nodes
-
-    @property
     def free_nodes(self) -> np.ndarray:
         """Grid node index of each unknown."""
-        lattice = np.arange(self.n_nodes).reshape(self.grid.ny + 1, self.grid.nx + 1)
+        lattice = np.arange(self.grid.n_nodes).reshape(self.grid.ny + 1, self.grid.nx + 1)
         return lattice[self.grid.free_lattice()].ravel()
 
 
@@ -143,7 +139,7 @@ def _stiffness(grid: Grid, k_cell: np.ndarray) -> sp.csr_matrix:
 OMEGA = 0.8          # Jacobi weight; omega * max eig(D^-1 A) < 2 keeps it SPD
 SWEEPS = 2           # pre- and post-smoothing sweeps per level
 COARSEST = 64        # coarsen while a level has more unknowns than this
-MAX_ITER = 200       # default CG iteration cap; solves take 7 to 15 on fig3 grids
+MAX_ITER = 200       # CG iteration cap; solves take 7 to 16 on the grids measured
 
 
 @dataclass(frozen=True)
@@ -231,19 +227,17 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
 # Data near the float range overflows in the norms and products of CG; that
 # shows as a non-finite residual, reported as one ConvergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_linear(system: LinearSystem, tol: float = 1e-10,
-                 max_iter: int | None = None) -> PressureSolution:
+def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     """Multigrid-preconditioned CG down to a true relative residual <= tol.
 
-    The preconditioner is one symmetric V-cycle of `_hierarchy(system)`.
+    The preconditioner is one symmetric V-cycle of `_hierarchy(system)`; CG
+    stops after MAX_ITER iterations.
     A zero right-hand side short-circuits to the zero solution.  The result
     is deterministic for fixed inputs (fixed operation order).
     """
     m, b = system.matrix, system.rhs
-    if max_iter is None:
-        max_iter = MAX_ITER
     b_norm = float(np.linalg.norm(b))
-    full = np.zeros(system.n_nodes)
+    full = np.zeros(system.grid.n_nodes)
     if b_norm == 0.0:
         return PressureSolution(p=full, iterations=0, residual=0.0)
 
@@ -255,7 +249,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
     rz = float(r @ z)
     iterations = 0
     residual = 1.0
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         ad = m @ d
         alpha = rz / float(d @ ad)
         x += alpha * d
@@ -293,19 +287,11 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
                             levels=tuple(level.matrix.shape[0] for level in levels))
 
 
-def residual_check(system: LinearSystem, solution: PressureSolution) -> float:
-    """Relative residual of a solution against its system (absolute if rhs = 0)."""
-    x = solution.p[system.free_nodes]
-    r = float(np.linalg.norm(system.matrix @ x - system.rhs))
-    b_norm = float(np.linalg.norm(system.rhs))
-    return r / b_norm if b_norm > 0.0 else r
-
-
 def solve_fields(config: ScenarioConfig, grid: Grid,
                  fields: CoefficientFields) -> PressureSolution:
     """Assembly -> linear solve on the grid and fields built for `config`."""
     system = assemble(grid, fields, config.u_b, config.q_e)
-    return solve_linear(system, tol=config.tol, max_iter=config.max_iter)
+    return solve_linear(system, tol=config.tol)
 
 
 def solve_reynolds(config: ScenarioConfig) -> PressureSolution:

@@ -3,10 +3,13 @@
 Everything here is composite Simpson on uniform grids, deliberately distinct
 from the fixed Gauss rules and closed forms used by the package itself.
 Special functions (Dawson's integral) are taken from ``scipy.special``; only
-the quadrature is independent.
+the quadrature is independent.  `residual_check` measures a pressure solution
+against its assembled system.
 """
 
 import numpy as np
+
+from roughlub.solver import LinearSystem, PressureSolution
 
 
 def simpson(f, a, b, panels=2**16):
@@ -74,3 +77,11 @@ def couette_oracle(n, panels=2**16):
     if n == 0.0:
         return 0.5
     return (np.exp(0.5 * n) - 1.0) / n / growth_oracle(n, panels)
+
+
+def residual_check(system: LinearSystem, solution: PressureSolution) -> float:
+    """Relative residual of a solution against its system (absolute if rhs = 0)."""
+    x = solution.p[system.free_nodes]
+    r = float(np.linalg.norm(system.matrix @ x - system.rhs))
+    b_norm = float(np.linalg.norm(system.rhs))
+    return r / b_norm if b_norm > 0.0 else r

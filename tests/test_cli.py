@@ -28,6 +28,12 @@ def run_python(*args):
                           env=env, timeout=60)
 
 
+def test_every_public_name_resolves():
+    assert len(set(roughlub.__all__)) == len(roughlub.__all__)
+    for name in roughlub.__all__:
+        assert getattr(roughlub, name) is not None, name
+
+
 def test_module_entry_point_prints_usage():
     result = run_python("-m", "roughlub.cli", "--help")
     assert result.returncode == 0
@@ -215,8 +221,8 @@ class TestSolve:
         h1 = fields.h1_bar.copy()
         h1[:2] = [-0.0, 0.0]
         fields = type(fields)(n_psi=fields.n_psi, a=fields.a, b=fields.b, h1_bar=h1)
-        cli._write_pressure_csv(tmp_path / "p.csv", config, p)
-        cli._write_fields_csv(tmp_path / "f.csv", config, grid, fields)
+        cli._write_pressure_csv(tmp_path / "p.csv", grid, p)
+        cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
         x, y = grid.node_coords()
         expected = ["# nx=5 ny=3", "x,y,p"] + [
             f"{xi:.17g},{yi:.17g},{pi:.17g}" for xi, yi, pi in zip(x, y, p)]
@@ -289,6 +295,12 @@ class TestSolve:
         ("gap.c1 = 0", "gap.c1"),
         ("gap.c0 = -2", "gap.c0"),
         ("gap.kind = bogus", "gap.kind"),
+        # the gap cubed overflows or underflows
+        ("gap.c0 = 1e200", "gap.c0"),
+        ("gap.kind = constant\ngap.c0 = 1e110", "gap.c0"),
+        ("gap.kind = constant\ngap.c0 = 1e-110", "gap.c0"),
+        ("gap.kind = tabulated\ngap.table_path = {huge_entry}", "gap.table_path"),
+        ("gap.kind = tabulated\ngap.table_path = {tiny_entry}", "gap.table_path"),
         ("gap.kind = tabulated\ngap.table_path = {one_row}", "gap.table_path"),
         ("gap.table_path = {one_row}", "gap.table_path"),
         ("grid.nx = 1", "grid.nx"),
@@ -299,6 +311,7 @@ class TestSolve:
         ("solver.tol = 0", "solver.tol"),
         ("solver.max_iter = 0", "solver.max_iter"),
         ("solver.max_iter = 1.5", "solver.max_iter"),
+        ("solver.max_iter = 500", "solver.max_iter"),
         ("rough.region.1 = 0.5,0,1,1", "rough.region.1"),
         ("rough.region.1 = a,0,1,1,n=2", "rough.region.1"),
         ("rough.region.1 = 0.5,0,1,1,2", "rough.region.1"),
@@ -313,10 +326,13 @@ class TestSolve:
          "rough.region.1"),
     ])
     def test_bad_config_value_exits_2_naming_key(self, capsys, tmp_path, line, key):
-        one_row = tmp_path / "one_row.csv"
-        one_row.write_text("1.0,2.0\n")
+        tables = {"one_row": "1.0,2.0\n", "huge_entry": "1.0,2.0\n1.0,1e110\n",
+                  "tiny_entry": "1.0,2.0\n1.0,1e-110\n"}
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
         config = tmp_path / "bad.cfg"
-        config.write_text("grid.ny = 16\n" + line.format(one_row=one_row) + "\n")
+        config.write_text("grid.ny = 16\n" + line.format(
+            **{name: tmp_path / f"{name}.csv" for name in tables}) + "\n")
         out_dir = tmp_path / "out"
         code, _, err = run(capsys, "solve", "--config", str(config), "--out", str(out_dir))
         assert code == 2

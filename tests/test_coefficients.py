@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from roughlub.coefficients import (N_SWITCH, coefficients, cosine_roughness_intensity,
                                    couette_coeff, decay_integral, growth_integral,
-                                   poiseuille_coeff, tabulated_roughness_intensity,
-                                   triangle_integral)
+                                   poiseuille_coeff, triangle_integral)
 
 from oracles import (couette_oracle, decay_oracle, growth_oracle,
                      poiseuille_oracle, triangle_oracle)
@@ -138,37 +137,3 @@ class TestRoughnessIntensity:
     def test_cosine_domain_errors(self, amp, wav):
         with pytest.raises(ValueError):
             cosine_roughness_intensity(amp, wav)
-
-    def test_tabulated_zero(self):
-        assert tabulated_roughness_intensity(np.zeros((8, 8, 2))) == 0.0
-
-    def test_tabulated_constant_gradient(self):
-        g = np.tile([0.3, -0.4], (16, 16, 1))
-        assert tabulated_roughness_intensity(g) == pytest.approx(0.25, rel=1e-14)
-
-    def test_tabulated_matches_cosine_closed_form(self):
-        amp = 0.7
-        x = np.arange(256) / 256.0
-        g = -2.0 * np.pi * amp * np.sin(2.0 * np.pi * x)
-        expected = amp**2 * 2.0 * np.pi**2
-        assert tabulated_roughness_intensity(g) == pytest.approx(expected, abs=1e-10)
-
-    def test_tabulated_grid_convergence(self):
-        # trapezoid on a periodic grid: error at worst quadratic in the spacing
-        amp, wav = 0.9, 3
-        exact = cosine_roughness_intensity(amp, wav)
-
-        def approx(m):
-            x = np.arange(m) / m
-            g = -2.0 * np.pi * wav * amp * np.sin(2.0 * np.pi * wav * x)
-            return tabulated_roughness_intensity(g)
-
-        errs = [abs(approx(m) - exact) for m in (16, 32, 64)]
-        for coarse, fine in zip(errs, errs[1:]):
-            assert fine <= coarse / 4.0 + 1e-12
-
-    @pytest.mark.parametrize("bad", [np.zeros((0,)), np.ones((1, 2)),
-                                     [[1.0, 2.0], [3.0]]])
-    def test_tabulated_shape_errors(self, bad):
-        with pytest.raises(ValueError):
-            tabulated_roughness_intensity(bad)

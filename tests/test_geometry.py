@@ -15,7 +15,6 @@ class TestLoadConfig:
         assert config.u_b == (1.0, 0.0)
         assert config.q_e == 0.5
         assert config.tol == 1e-10
-        assert config.max_iter is None
         assert config.roughness.regions == ()
 
     def test_comments_and_blank_lines(self):
@@ -157,21 +156,31 @@ class TestEvaluateGap:
             GapProfile(c1=float("-inf"))
 
 
+def boundary_tags(grid):
+    """Dirichlet and inlet node masks: the Dirichlet nodes are those outside
+    grid.free_lattice(), the inlet nodes the free ones on {x=0}."""
+    free = np.zeros((grid.ny + 1, grid.nx + 1), dtype=bool)
+    free[grid.free_lattice()] = True
+    free = free.ravel()
+    x, _ = grid.node_coords()
+    return ~free, free & (x == 0.0)
+
+
 class TestGrid:
     def test_node_and_cell_counts(self):
         grid = Grid(4, 3)
         assert grid.n_nodes == 20
-        assert grid.n_cells == 12
+        assert grid.node_coords()[0].size == 20
+        assert grid.cell_barycenters()[0].size == 12
 
     def test_boundary_tagging_two_by_two(self):
         grid = Grid(2, 2)
-        dirichlet = grid.dirichlet_mask()
-        inlet = grid.inlet_mask()
+        dirichlet, inlet = boundary_tags(grid)
         # {x=1} u {y=0} u {y=1} leaves the inlet mid-edge node and the center
         assert dirichlet.sum() == 7
         assert inlet.sum() == 1
-        assert not np.any(dirichlet & inlet)
         x, y = grid.node_coords()
+        assert np.array_equal(inlet, (x == 0.0) & (y == 0.5))
         # inlet corners resolve to Dirichlet
         for corner_y in (0.0, 1.0):
             idx = np.flatnonzero((x == 0.0) & (y == corner_y))[0]
@@ -181,15 +190,26 @@ class TestGrid:
         grid = Grid(5, 7)
         x, y = grid.node_coords()
         boundary = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
-        tagged = grid.dirichlet_mask() | grid.inlet_mask()
-        assert np.array_equal(tagged, boundary)
-        assert not np.any(grid.dirichlet_mask() & grid.inlet_mask())
+        dirichlet, inlet = boundary_tags(grid)
+        assert np.array_equal(dirichlet | inlet, boundary)
+        assert not np.any(dirichlet & inlet)
 
     def test_natural_y_sides(self):
         grid = Grid(4, 4, y_sides_natural=True)
         x, _ = grid.node_coords()
-        assert np.array_equal(grid.dirichlet_mask(), x == 1.0)
-        assert np.array_equal(grid.inlet_mask(), x == 0.0)
+        dirichlet, inlet = boundary_tags(grid)
+        assert np.array_equal(dirichlet, x == 1.0)
+        assert np.array_equal(inlet, x == 0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(4, 3), (5, 7)])
+    def test_cell_at(self, nx, ny):
+        grid = Grid(nx, ny)
+        bx, by = grid.cell_barycenters()
+        assert [cy * nx + cx for cx, cy in map(grid.cell_at, bx, by)] == list(range(nx * ny))
+        # a point on a shared edge goes to the cell above or to the right;
+        # the far sides belong to the last cells
+        assert grid.cell_at(1.0 / nx, 1.0 / ny) == (1, 1)
+        assert grid.cell_at(1.0, 1.0) == (nx - 1, ny - 1)
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
@@ -209,7 +229,7 @@ class TestGrid:
         grid = Grid(nx, ny, y_sides_natural=natural)
         x, y = grid.node_coords()
         pinned = (x == 1.0) | (not natural) & ((y == 0.0) | (y == 1.0))
-        assert np.array_equal(grid.dirichlet_mask(), pinned)
+        assert np.array_equal(boundary_tags(grid)[0], pinned)
         lattice = np.arange(grid.n_nodes).reshape(ny + 1, nx + 1)
         assert np.array_equal(np.sort(lattice[grid.free_lattice()].ravel()),
                               np.flatnonzero(~pinned))

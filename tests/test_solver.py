@@ -5,14 +5,16 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughlub import solver
 from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
                                ScenarioConfig, build_fields)
-from roughlub.solver import (ConvergenceError, assemble, oracle_1d,
-                             residual_check, solve_linear, solve_reynolds)
+from roughlub.solver import (ConvergenceError, assemble, oracle_1d, solve_linear,
+                             solve_reynolds)
+
+from oracles import residual_check
 
 FLAT_GAP = GapProfile(kind="constant", c0=1.0)
 
@@ -27,10 +29,24 @@ def assembled(config):
     return grid, assemble(grid, fields, config.u_b, config.q_e)
 
 
+def pinned_by_coordinates(grid):
+    """Dirichlet nodes: {x=1}, and {y=0} and {y=1} unless the y sides are natural."""
+    x, y = grid.node_coords()
+    return (x == 1.0) | (not grid.y_sides_natural) & ((y == 0.0) | (y == 1.0))
+
+
+def assert_symmetric(levels, u, v):
+    """<u, Mv> = <v, Mu> for the V-cycle M, to round-off on the Cauchy-Schwarz
+    scale sqrt(<u, Mu> <v, Mv>); M must be positive definite for that scale."""
+    mu, mv = solver._vcycle(levels, u), solver._vcycle(levels, v)
+    assert u @ mu > 0.0 and v @ mv > 0.0
+    assert abs(u @ mv - v @ mu) <= 1e-14 * np.sqrt((u @ mu) * (v @ mv))
+
+
 class TestAssemble:
     def test_two_by_two_structure(self):
         grid, system = assembled(flat_config(nx=2, ny=2))
-        assert system.n_nodes == 9
+        assert system.grid.n_nodes == 9
         # dirichlet on three sides leaves the inlet mid-edge node + center
         assert system.rhs.size == 2
         dense = system.matrix.toarray()
@@ -64,7 +80,7 @@ class TestAssemble:
     @pytest.mark.parametrize("natural", [False, True])
     def test_free_nodes_are_the_non_dirichlet_nodes(self, nx, ny, natural):
         grid, system = assembled(ScenarioConfig(nx=nx, ny=ny, y_sides_natural=natural))
-        free = np.flatnonzero(~grid.dirichlet_mask())
+        free = np.flatnonzero(~pinned_by_coordinates(grid))
         assert np.array_equal(system.free_nodes, free)
         assert system.rhs.size == free.size
 
@@ -108,12 +124,13 @@ class TestSolveLinear:
         config = ScenarioConfig(nx=16, ny=16)
         grid, _ = build_fields(config)
         solution = solve_reynolds(config)
-        assert np.all(solution.p[grid.dirichlet_mask()] == 0.0)
+        assert np.all(solution.p[pinned_by_coordinates(grid)] == 0.0)
 
     def test_nonconvergence_raises(self):
+        # 32x32 stalls near a relative residual of 9e-15, so 1e-16 is out of reach
         _, system = assembled(ScenarioConfig(nx=32, ny=32))
         with pytest.raises(ConvergenceError, match="residual"):
-            solve_linear(system, tol=1e-14, max_iter=3)
+            solve_linear(system, tol=1e-16)
 
     @pytest.mark.parametrize("data", [dict(q_e=1e200), dict(q_e=1e154),
                                       dict(u_b=(1e308, 0.0))])
@@ -175,16 +192,15 @@ class TestMultigrid:
 
     @settings(max_examples=30, deadline=None)
     @given(nx=st.integers(2, 300), ny=st.integers(2, 300), natural=st.booleans())
+    # a bound relative to u.Mv, a sum of random signs, failed here at round-off
+    @example(nx=289, ny=120, natural=False)
     def test_any_grid_preconditioned_and_converges(self, nx, ny, natural):
         config = ScenarioConfig(nx=nx, ny=ny, roughness=FIG3, y_sides_natural=natural)
         _, system = assembled(config)
         levels = solver._hierarchy(system)
         assert levels[-1].matrix.shape[0] <= solver.COARSEST
         rng = np.random.default_rng(nx * 1000 + ny)
-        u, v = rng.standard_normal((2, system.rhs.size))
-        mu, mv = solver._vcycle(levels, u), solver._vcycle(levels, v)
-        assert abs(u @ mv - v @ mu) <= 1e-12 * abs(u @ mv)
-        assert u @ mu > 0.0 and v @ mv > 0.0
+        assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
         solution = solve_linear(system)
         assert solution.iterations <= 20
         assert residual_check(system, solution) <= config.tol
@@ -218,10 +234,7 @@ class TestMultigrid:
         _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
         levels = solver._hierarchy(system)
         rng = np.random.default_rng(7)
-        u, v = rng.standard_normal((2, system.rhs.size))
-        mu, mv = solver._vcycle(levels, u), solver._vcycle(levels, v)
-        assert abs(u @ mv - v @ mu) <= 1e-12 * abs(u @ mv)
-        assert u @ mu > 0.0 and v @ mv > 0.0
+        assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
 
     @pytest.mark.parametrize("nx, ny, natural", [
         (13, 7, False), (97, 64, False), (64, 64, True), (48, 12, True)])
