@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Median wall time of each pipeline stage and of whole CLI runs.
+
+    python scripts/stage_times.py --label change --out BENCH.json
+    python scripts/stage_times.py --src /path/to/other/src --label parent --out BENCH.json
+
+Times `build_fields`, `assemble`, `solve_linear`, the `pressure.csv` write,
+the `fields.csv` write and one whole CLI run, each as the median over
+`--repeats` calls after one warm-up call.  Cases: a 96x64 design with two
+rough rectangles (stages of its rough run; the CLI run is `compare`) and the
+`fig3` preset at nx = ny in SIZES (the CLI run is `solve`).  CG iterations
+and multigrid level sizes come from the timed `solve_linear`.
+
+The roughlub package is imported from `--src` (default: this checkout's
+`src/`), so two source trees can be measured by the same script into one
+file.  The output is JSON: `schema`, then `runs`, keyed by `--label`; a run
+already in the file under another label is kept, one under the same label is
+replaced.  Each run holds `machine` (nproc, Python, numpy and scipy
+versions), `repeats` and `cases`; each case holds `case`, `command`,
+`nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear, pressure_csv,
+fields_csv), `command_s`, `cg_iterations` and `levels`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SCHEMA = "roughlub-stage-times/1"
+SIZES = (64, 128, 256, 512)
+DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
+          "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"
+          "rough.region.2 = 0.625,0.125,0.875,0.5,n=20\n")
+
+
+def median_time(call, repeats: int) -> float:
+    call()  # warm-up: lazy imports and first-touch allocations
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) -> dict:
+    from roughlub import cli
+    from roughlub.geometry import build_fields
+    from roughlub.solver import assemble, solve_linear
+
+    grid, fields = build_fields(config)
+    system = assemble(grid, fields, config.u_b, config.q_e)
+    solution = solve_linear(system, config.tol)
+    stages = {
+        "build_fields": lambda: build_fields(config),
+        "assemble": lambda: assemble(grid, fields, config.u_b, config.q_e),
+        "solve_linear": lambda: solve_linear(system, config.tol),
+        "pressure_csv": lambda: cli._write_pressure_csv(tmp / "p.csv", grid, solution.p),
+        "fields_csv": lambda: cli._write_fields_csv(tmp / "f.csv", grid, fields),
+    }
+
+    def run_cli():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv + ["--out", str(tmp / "out")]) != 0:
+                raise RuntimeError(f"roughlub {' '.join(argv)} failed")
+
+    return {
+        "case": name,
+        "command": argv[0],
+        "nx": config.nx,
+        "ny": config.ny,
+        "stages_s": {stage: median_time(call, repeats) for stage, call in stages.items()},
+        "command_s": median_time(run_cli, repeats),
+        "cg_iterations": solution.iterations,
+        "levels": list(solution.levels),
+    }
+
+
+def measure(repeats: int) -> list[dict]:
+    import dataclasses
+
+    from roughlub import cli
+    from roughlub.geometry import RoughnessSpec, ScenarioConfig, load_config
+
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        design = tmp / "design.cfg"
+        design.write_text(DESIGN, encoding="utf-8")
+        cases.append(measure_case("design-96x64", load_config(DESIGN),
+                                  ["compare", "--config", str(design)], repeats, tmp))
+        fig3 = RoughnessSpec(cli.PRESET_REGIONS["fig3"])
+        for n in SIZES:
+            config = dataclasses.replace(ScenarioConfig(), nx=n, ny=n, roughness=fig3)
+            argv = ["solve", "--scenario", "fig3", "--nx", str(n), "--ny", str(n)]
+            cases.append(measure_case(f"fig3-{n}", config, argv, repeats, tmp))
+    return cases
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="source tree to import roughlub from")
+    parser.add_argument("--label", required=True, help="key of this run in the output")
+    parser.add_argument("--out", required=True, help="JSON file to write or update")
+    parser.add_argument("--repeats", type=int, default=9, help="timed calls per median (>= 3)")
+    args = parser.parse_args()
+    if args.repeats < 3:
+        parser.error("--repeats must be >= 3")
+    sys.path.insert(0, args.src)
+
+    import numpy
+    import scipy
+
+    run = {
+        "repeats": args.repeats,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "cases": measure(args.repeats),
+    }
+    out = Path(args.out)
+    document = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    if document.get("schema", SCHEMA) != SCHEMA:
+        raise SystemExit(f"error: {out} has schema {document['schema']!r}, not {SCHEMA!r}")
+    runs = document.get("runs", {})
+    runs[args.label] = run
+    out.write_text(json.dumps({"schema": SCHEMA, "runs": runs}, indent=1) + "\n",
+                   encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

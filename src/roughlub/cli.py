@@ -28,8 +28,7 @@ from . import postprocess
 from .coefficients import N_MAX, coefficients
 from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion,
                        ScenarioConfig, build_fields, load_config)
-from .solver import (ConvergenceError, PressureSolution, solve_fields,
-                     solve_reynolds)
+from .solver import ConvergenceError, PressureSolution, solve_fields
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -79,23 +78,40 @@ def _distinct_text(values) -> tuple[np.ndarray, np.ndarray]:
     return text, inverse
 
 
-def _write_rows(path: Path, header: str, columns) -> None:
+def _write_rows(path: Path, header: str, keys, values=()) -> None:
     """Write `header`, then one comma-joined row per entry of the equal-length
-    float arrays in `columns`, CSV_BLOCK_ROWS rows per write."""
-    columns = [_distinct_text(values) for values in columns]
-    n_rows = columns[0][1].size
+    float arrays in `keys` and then `values`, CSV_BLOCK_ROWS rows per write.
+
+    Every number reads as `_fmt` writes it.  `keys` are columns with few
+    distinct values, each formatted once (`_distinct_text`).  With `values`,
+    one `%` call formats a whole block, taking the key texts under %s and the
+    values as floats under %.17g, the same conversion as `_fmt`.  Without
+    them the key texts are joined, which is faster than %s.
+    """
+    texts = [_distinct_text(column) for column in keys]
+    values = [np.asarray(column, dtype=np.float64) for column in values]
+    width = len(texts) + len(values)
+    row = ",".join(["%s"] * len(texts) + ["%.17g"] * len(values)) + "\n"
+    n_rows = texts[0][1].size
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header)
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [text[index[start:start + CSV_BLOCK_ROWS]].tolist()
-                     for text, index in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            block = [text[index[start:stop]].tolist() for text, index in texts]
+            if not values:
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+                continue
+            block += [column[start:stop].tolist() for column in values]
+            cells = [None] * (width * (stop - start))
+            for j, column in enumerate(block):
+                cells[j::width] = column
+            fh.write(row * (stop - start) % tuple(cells))
 
 
 def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
                         value_name: str = "p") -> None:
     _write_rows(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
-                (*grid.node_coords(), p))
+                grid.node_coords(), (p,))
 
 
 def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
@@ -158,7 +174,7 @@ def cmd_solve(args) -> int:
     import scipy.sparse  # noqa: F401
     start = time.perf_counter()
     grid, fields = build_fields(config)
-    solution = solve_fields(config, grid, fields)
+    solution, = solve_fields(config, grid, fields)
     wall = time.perf_counter() - start
     _write_pressure_csv(out / "pressure.csv", grid, solution.p)
     _write_fields_csv(out / "fields.csv", grid, fields)
@@ -177,7 +193,7 @@ def cmd_velocity(args) -> int:
         if not 0.0 < value < 1.0:  # false for nan as well
             raise ConfigError(f"{flag} must be inside (0, 1), got {value}")
     grid, fields = build_fields(config)
-    solution = solve_fields(config, grid, fields)
+    solution, = solve_fields(config, grid, fields)
     grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)
     cx, cy = grid.cell_at(args.x, args.y)
     cell = cy * grid.nx + cx
@@ -194,10 +210,11 @@ def cmd_compare(args) -> int:
     if not config.roughness.regions:
         raise ConfigError("compare needs a scenario with at least one rough region")
     out = _output_dir(args.out)
-    smooth_config = dataclasses.replace(config, roughness=RoughnessSpec())
     grid, fields = build_fields(config)
-    p_smooth = solve_reynolds(smooth_config)
-    p_rough = solve_fields(config, grid, fields)
+    # the smooth run differs in its roughness alone, so it has the same grid,
+    # and both solves share its multigrid transfers
+    _, smooth_fields = build_fields(dataclasses.replace(config, roughness=RoughnessSpec()))
+    p_smooth, p_rough = solve_fields(config, grid, smooth_fields, fields)
     report = postprocess.compare_fields(p_smooth, p_rough, grid, config.roughness)
     _write_pressure_csv(out / "pressure_smooth.csv", grid, p_smooth.p)
     _write_pressure_csv(out / "pressure_rough.csv", grid, p_rough.p)

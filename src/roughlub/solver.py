@@ -32,7 +32,10 @@ last coarse interval is one fine interval wide.  A side is coarsened only
 while it has at least 4 cells and at least half as many as the other side;
 on a stretched grid the short side waits (semi-coarsening).  Every grid
 thus coarsens down to the dense level, and the iteration count stays
-bounded under refinement and on stretched and odd grids.
+bounded under refinement and on stretched and odd grids.  The interpolation
+and restriction matrices depend on the grid alone: `_transfers(grid)` builds
+them, `solve_fields` once for all the solves on one grid, and each solve
+builds only its coarse operators and the dense coarsest inverse on them.
 
 ``scipy.sparse`` is imported inside the functions that build matrices, on
 the first assembly: importing it costs about 0.3 s, which `import roughlub`,
@@ -153,57 +156,73 @@ class _Level:
     inverse: np.ndarray | None = None       # dense inverse of the coarsest level
 
 
-def _prolong_1d(n: int, flip: bool = False) -> sp.csr_matrix:
-    """Linear interpolation onto fine nodes 0..n from coarse nodes 0, 2, 4, ... and n.
+def _coarse_cells(n: int, other: int) -> int:
+    """Cells on the next coarser level of a side of n cells: halved, rounding
+    up, while it has at least 4 cells and at least half as many as the other
+    side; else unchanged."""
+    return (n + 1) // 2 if n >= 4 and 2 * n >= other else n
 
-    For odd n the last coarse interval is one fine interval wide, so both end
-    nodes stay on the coarse lattice.  `flip` mirrors the coarse nodes to
-    n, n - 2, ... and 0, which moves that narrow interval to the first end.
+
+def _interpolation_1d(n: int, coarse: int, flip: bool, free: slice) -> sp.csr_matrix:
+    """Linear interpolation from a side of `coarse` cells onto the same side with
+    n cells, restricted to the nodes selected by `free` on both.
+
+    Halving puts the coarse nodes at fine nodes 0, 2, 4, ... and n, so for odd
+    n the last coarse interval is one fine interval wide; `flip` mirrors them
+    to n, n - 2, ... and 0, which moves that narrow interval to the first end.
+    An unchanged side interpolates by the identity.  A fine node on a coarse
+    node takes its value; one between two takes half of each.
     """
     import scipy.sparse as sp
-    coarse = np.unique(np.r_[0:n + 1:2, n])  # fine index of each coarse node
-    coarse = n - coarse[::-1] if flip else coarse
-    fine = np.arange(n + 1)
-    # coarse interval holding each fine node
-    left = np.minimum(np.searchsorted(coarse, fine, "right") - 1, coarse.size - 2)
-    t = (fine - coarse[left]) / (coarse[left + 1] - coarse[left])
-    rows, cols, vals = np.r_[fine, fine], np.r_[left, left + 1], np.r_[1.0 - t, t]
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n + 1, coarse.size))
+    on_coarse = np.zeros(n + 1, dtype=bool)
+    on_coarse[::1 if coarse == n else 2] = True
+    on_coarse[-1] = True  # both end nodes stay, also for odd n
+    if flip:
+        on_coarse = on_coarse[::-1]
+    left = np.cumsum(on_coarse) - 1  # coarse node at or before each fine node
+    cols = np.stack((left, left + 1), axis=1)[free]
+    vals = np.where(on_coarse[:, None], [1.0, 0.0], 0.5)[free]
+    first, stop, _ = free.indices(coarse + 1)
+    keep = (vals != 0.0) & (cols >= first) & (cols < stop)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sp.csr_matrix((vals[keep], cols[keep] - first, indptr),
+                         shape=(keep.shape[0], stop - first))
 
 
-def _side_prolong(n: int, other: int, flip: bool) -> sp.csr_matrix:
-    """1-D prolongation of a side of n cells: coarsened while it has at least 4
-    cells and at least half as many as the other side, else the identity."""
-    import scipy.sparse as sp
-    if n >= 4 and 2 * n >= other:
-        return _prolong_1d(n, flip)
-    return sp.identity(n + 1, format="csr")
+def _transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """(restrict, prolong) from each multigrid level to the next coarser one.
 
-
-def _hierarchy(system: LinearSystem) -> tuple[_Level, ...]:
-    """Galerkin levels A_c = P^T A P on the free-node lattice, finest first.
-
-    P = kron(P_y, P_x) sliced to the free nodes of both lattices: the same
-    slices select them on every level.  Odd sides put their narrow coarse
-    interval at the last end on even levels and at the first end on odd ones,
-    so that it does not shrink relative to the others as levels go by.
-    Coarsening goes on while a level has more than COARSEST unknowns; the
-    coarsest level is inverted densely.
+    P = kron(P_y, P_x) on the free-node lattice: the slices of
+    `grid.free_lattice()` select the free nodes on every level.  Odd sides put
+    their narrow coarse interval at the last end on even levels and at the
+    first end on odd ones, so that it does not shrink relative to the others
+    as levels go by.  Coarsening goes on while a level has more than COARSEST
+    unknowns; the transfers depend on the grid alone, so solves on one grid
+    can share them.
     """
     import scipy.sparse as sp
-    a, grid = system.matrix, system.grid
     rows, cols = grid.free_lattice()
     nx, ny = grid.nx, grid.ny
+    transfers = []
+    while len(range(ny + 1)[rows]) * len(range(nx + 1)[cols]) > COARSEST:
+        flip = len(transfers) % 2 == 1
+        cx, cy = _coarse_cells(nx, ny), _coarse_cells(ny, nx)
+        prolong = sp.kron(_interpolation_1d(ny, cy, flip, rows),
+                          _interpolation_1d(nx, cx, flip, cols), format="csr")
+        transfers.append((prolong.T.tocsr(), prolong))
+        nx, ny = cx, cy
+    return tuple(transfers)
+
+
+def _hierarchy(system: LinearSystem,
+               transfers: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]) -> tuple[_Level, ...]:
+    """Galerkin levels A_c = P^T A P on the free-node lattice, finest first,
+    for the `_transfers(system.grid)`; the coarsest level is inverted densely."""
+    a = system.matrix
     levels = []
-    while a.shape[0] > COARSEST:
-        flip = len(levels) % 2 == 1
-        p_x, p_y = _side_prolong(nx, ny, flip), _side_prolong(ny, nx, flip)
-        prolong = sp.kron(p_y[rows, rows], p_x[cols, cols], format="csr")
-        restrict = prolong.T.tocsr()
+    for restrict, prolong in transfers:
         levels.append(_Level(a, OMEGA / a.diagonal(), restrict, prolong))
         a = (restrict @ a @ prolong).tocsr()
-        nx, ny = p_x.shape[1] - 1, p_y.shape[1] - 1
     inverse = np.linalg.inv(a.toarray())
     levels.append(_Level(a, inverse=0.5 * (inverse + inverse.T)))
     return tuple(levels)
@@ -227,21 +246,33 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
 # Data near the float range overflows in the norms and products of CG; that
 # shows as a non-finite residual, reported as one ConvergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
+def solve_linear(system: LinearSystem, tol: float = 1e-10,
+                 transfers: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...] | None = None,
+                 ) -> PressureSolution:
     """Multigrid-preconditioned CG down to a true relative residual <= tol.
 
-    The preconditioner is one symmetric V-cycle of `_hierarchy(system)`; CG
-    stops after MAX_ITER iterations.
+    The preconditioner is one symmetric V-cycle of the Galerkin hierarchy on
+    `transfers`, which are built here from `_transfers(system.grid)` when not
+    given; CG stops after MAX_ITER iterations.
     A zero right-hand side short-circuits to the zero solution.  The result
     is deterministic for fixed inputs (fixed operation order).
     """
-    m, b = system.matrix, system.rhs
-    b_norm = float(np.linalg.norm(b))
+    m = system.matrix
     full = np.zeros(system.grid.n_nodes)
-    if b_norm == 0.0:
+    b_max = float(np.abs(system.rhs).max())
+    if b_max == 0.0:
         return PressureSolution(p=full, iterations=0, residual=0.0)
+    # scaling by a power of two commutes exactly with every operation of CG, so
+    # b is scaled up until its largest entry is at least 1/2, and the norms of
+    # tiny data do not underflow; larger data are not scaled down, so overflow
+    # still shows as a nan residual
+    shift = -min(math.frexp(b_max)[1], 0)
+    b = np.ldexp(system.rhs, shift)
+    b_norm = float(np.linalg.norm(b))
 
-    levels = _hierarchy(system)
+    if transfers is None:
+        transfers = _transfers(system.grid)
+    levels = _hierarchy(system, transfers)
     x = np.zeros(b.size)
     r = b.copy()
     z = _vcycle(levels, r)
@@ -282,21 +313,30 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
             f"CG did not converge in {iterations} iterations "
             f"(relative residual {residual:.3e} > tol {tol:.3e})")
 
-    full[system.free_nodes] = x
+    full[system.free_nodes] = np.ldexp(x, -shift)
     return PressureSolution(p=full, iterations=iterations, residual=residual,
                             levels=tuple(level.matrix.shape[0] for level in levels))
 
 
 def solve_fields(config: ScenarioConfig, grid: Grid,
-                 fields: CoefficientFields) -> PressureSolution:
-    """Assembly -> linear solve on the grid and fields built for `config`."""
-    system = assemble(grid, fields, config.u_b, config.q_e)
-    return solve_linear(system, tol=config.tol)
+                 *fields: CoefficientFields) -> tuple[PressureSolution, ...]:
+    """Assembly -> linear solve of each of `fields` on the grid built for `config`.
+
+    The solves share one set of multigrid transfers, built after the first
+    assembly so that its temporaries are gone by then.
+    """
+    solutions, transfers = [], None
+    for cell_data in fields:
+        system = assemble(grid, cell_data, config.u_b, config.q_e)
+        if transfers is None:
+            transfers = _transfers(grid)
+        solutions.append(solve_linear(system, tol=config.tol, transfers=transfers))
+    return tuple(solutions)
 
 
 def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
     """Full pipeline: fields -> assembly -> linear solve."""
-    return solve_fields(config, *build_fields(config))
+    return solve_fields(config, *build_fields(config))[0]
 
 
 def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,

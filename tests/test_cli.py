@@ -211,31 +211,41 @@ class TestSolve:
         assert int(manifest["iterations"]) >= 1
 
     def test_csv_writers_match_per_value_formatting(self, tmp_path):
-        # the streaming writers format each distinct value once; the bytes
-        # must equal formatting every value in place, -0.0, nan and inf included
+        # the writers format one block of rows per % call, and key columns once
+        # per distinct value; the bytes must equal formatting every value in
+        # place, -0.0, nan, inf and both ends of the float range included.
+        # 70 x 60 has more nodes and more cells than CSV_BLOCK_ROWS.
         from roughlub.geometry import ScenarioConfig, build_fields
-        config = ScenarioConfig(nx=5, ny=3)
-        grid, fields = build_fields(config)
-        p = np.linspace(-1.0, 1.0, grid.n_nodes)
-        p[:4] = [-0.0, 0.0, np.nan, -np.inf]
-        h1 = fields.h1_bar.copy()
-        h1[:2] = [-0.0, 0.0]
-        fields = type(fields)(n_psi=fields.n_psi, a=fields.a, b=fields.b, h1_bar=h1)
-        cli._write_pressure_csv(tmp_path / "p.csv", grid, p)
-        cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
-        x, y = grid.node_coords()
-        expected = ["# nx=5 ny=3", "x,y,p"] + [
-            f"{xi:.17g},{yi:.17g},{pi:.17g}" for xi, yi, pi in zip(x, y, p)]
-        assert (tmp_path / "p.csv").read_text() == "\n".join(expected) + "\n"
-        bx, by = grid.cell_barycenters()
-        expected = ["x,y,n_psi,a,b,h1"] + [
-            ",".join(f"{v:.17g}" for v in row) for row in
-            zip(bx, by, fields.n_psi, fields.a, fields.b, fields.h1_bar)]
-        assert (tmp_path / "f.csv").read_text() == "\n".join(expected) + "\n"
-        assert (tmp_path / "p.csv").read_text().splitlines()[2:4] == [
-            "0,0,-0", "0.20000000000000001,0,0"]
-        rows = (tmp_path / "f.csv").read_text().splitlines()
-        assert rows[1].endswith(",-0") and rows[2].endswith(",0")
+        extremes = [5e-324, 1.7976931348623157e308, -5e-324]
+        for nx, ny in ((5, 3), (70, 60)):
+            grid, fields = build_fields(ScenarioConfig(nx=nx, ny=ny))
+            p = np.linspace(-1.0, 1.0, grid.n_nodes)
+            p[:4] = [-0.0, 0.0, np.nan, -np.inf]
+            p[-3:] = extremes
+            h1 = fields.h1_bar.copy()
+            h1[:2] = [-0.0, 0.0]
+            h1[-3:] = extremes
+            fields = type(fields)(n_psi=fields.n_psi, a=fields.a, b=fields.b, h1_bar=h1)
+            if grid.n_nodes > cli.CSV_BLOCK_ROWS:
+                p[cli.CSV_BLOCK_ROWS - 1:cli.CSV_BLOCK_ROWS + 2] = extremes
+                fields.a[cli.CSV_BLOCK_ROWS - 1:cli.CSV_BLOCK_ROWS + 2] = extremes
+            cli._write_pressure_csv(tmp_path / "p.csv", grid, p)
+            cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
+            x, y = grid.node_coords()
+            expected = [f"# nx={nx} ny={ny}", "x,y,p"] + [
+                f"{xi:.17g},{yi:.17g},{pi:.17g}" for xi, yi, pi in zip(x, y, p)]
+            assert (tmp_path / "p.csv").read_text() == "\n".join(expected) + "\n"
+            bx, by = grid.cell_barycenters()
+            expected = ["x,y,n_psi,a,b,h1"] + [
+                ",".join(f"{v:.17g}" for v in row) for row in
+                zip(bx, by, fields.n_psi, fields.a, fields.b, fields.h1_bar)]
+            assert (tmp_path / "f.csv").read_text() == "\n".join(expected) + "\n"
+            rows = (tmp_path / "p.csv").read_text().splitlines()
+            assert rows[2] == "0,0,-0" and rows[3].endswith(",0,0")
+            assert rows[-1] == "1,1,-4.9406564584124654e-324"
+            rows = (tmp_path / "f.csv").read_text().splitlines()
+            assert rows[1].endswith(",-0") and rows[2].endswith(",0")
+            assert rows[-2].endswith(",1.7976931348623157e+308")
 
     def test_fig2_preset_uses_reference_data(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -362,6 +372,26 @@ class TestSolve:
         assert code == 1
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not (out_dir / "pressure.csv").exists()
+
+    @pytest.mark.parametrize("flux", ["1e-170", "1e-160"])
+    def test_tiny_data_solved_not_read_as_converged(self, capsys, tmp_path, flux):
+        # the norms of data this small underflow unless the solver scales them;
+        # the pressure is linear in the flux when the walls do not move
+        def solve(flux):
+            config = tmp_path / f"flux{flux}.cfg"
+            config.write_text(SMOOTH_DOC + f"velocity.ubx = 0\ninlet.flux = {flux}\n")
+            out_dir = tmp_path / f"out{flux}"
+            assert run(capsys, "solve", "--config", str(config), "--out", str(out_dir))[0] == 0
+            manifest = dict(line.split("=", 1) for line in
+                            (out_dir / "manifest.txt").read_text().splitlines())
+            p = np.loadtxt(out_dir / "pressure.csv", delimiter=",", skiprows=2)[:, 2]
+            return int(manifest["iterations"]), float(manifest["residual"]), p
+
+        iterations, residual, p = solve(flux)
+        _, _, p_unit = solve("1")
+        assert iterations >= 1 and 0.0 < residual <= 1e-10
+        expected = float(flux) * p_unit
+        assert np.abs(p - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("below", ["", "sub"])
@@ -492,6 +522,36 @@ class TestCompare:
             lines = (out_dir / name).read_text().splitlines()
             assert lines[0] == "# nx=16 ny=8"
             assert len(lines) == 2 + 17 * 9
+
+    def test_two_solves_share_one_set_of_transfers(self, capsys, tmp_path, monkeypatch):
+        # compare builds the multigrid transfers once, for both of its solves,
+        # and each pressure file equals the one a separate solve writes
+        from roughlub import solver
+        built, used = [], []
+        real_transfers, real_solve = solver._transfers, solver.solve_linear
+
+        def spy_transfers(grid):
+            built.append(real_transfers(grid))
+            return built[-1]
+
+        def spy_solve(system, tol, transfers):
+            used.append(transfers)
+            return real_solve(system, tol, transfers)
+
+        monkeypatch.setattr(solver, "_transfers", spy_transfers)
+        monkeypatch.setattr(solver, "solve_linear", spy_solve)
+        grid = ["--nx", "97", "--ny", "31"]
+        assert run(capsys, "compare", "--scenario", "fig3", *grid,
+                   "--out", str(tmp_path / "cmp"))[0] == 0
+        assert len(built) == 1 and len(used) == 2
+        assert all(transfers is built[0] for transfers in used)
+        for scenario, name in (("fig2", "pressure_smooth.csv"), ("fig3", "pressure_rough.csv")):
+            built.clear()
+            assert run(capsys, "solve", "--scenario", scenario, *grid,
+                       "--out", str(tmp_path / scenario))[0] == 0
+            assert len(built) == 1
+            assert ((tmp_path / scenario / "pressure.csv").read_bytes()
+                    == (tmp_path / "cmp" / name).read_bytes())
 
     def test_no_rough_region_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughlub import solver
-from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
+from roughlub.geometry import (GapProfile, Grid, RoughnessSpec, RoughRegion,
                                ScenarioConfig, build_fields)
 from roughlub.solver import (ConvergenceError, assemble, oracle_1d, solve_linear,
                              solve_reynolds)
@@ -197,7 +197,7 @@ class TestMultigrid:
     def test_any_grid_preconditioned_and_converges(self, nx, ny, natural):
         config = ScenarioConfig(nx=nx, ny=ny, roughness=FIG3, y_sides_natural=natural)
         _, system = assembled(config)
-        levels = solver._hierarchy(system)
+        levels = solver._hierarchy(system, solver._transfers(system.grid))
         assert levels[-1].matrix.shape[0] <= solver.COARSEST
         rng = np.random.default_rng(nx * 1000 + ny)
         assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
@@ -212,9 +212,46 @@ class TestMultigrid:
         coarse = np.unique(np.r_[0:n + 1:2, n])
         if flip:
             coarse = n - coarse[::-1]
-        prolong = solver._prolong_1d(n, flip)
-        assert prolong.shape == (n + 1, coarse.size)
-        assert np.array_equal(prolong @ (3.0 * coarse - 1.0), 3.0 * np.arange(n + 1) - 1.0)
+        full = solver._interpolation_1d(n, coarse.size - 1, flip, slice(None))
+        assert full.shape == (n + 1, coarse.size)
+        assert np.array_equal(full @ (3.0 * coarse - 1.0), 3.0 * np.arange(n + 1) - 1.0)
+        # on the free slices: the same, with the values of the dropped coarse
+        # nodes, which are Dirichlet nodes, held at zero
+        for free in (slice(1, -1), slice(None, -1)):
+            values = 3.0 * coarse - 1.0
+            values[np.setdiff1d(np.arange(coarse.size), np.arange(coarse.size)[free])] = 0.0
+            prolong = solver._interpolation_1d(n, coarse.size - 1, flip, free)
+            assert prolong.shape == (len(range(n + 1)[free]), len(range(coarse.size)[free]))
+            assert np.array_equal(prolong @ values[free], (full @ values)[free])
+
+    @pytest.mark.parametrize("nx, ny", [(13, 7), (97, 64), (1024, 16), (41, 289)])
+    def test_prolongation_reproduces_bilinear_functions(self, nx, ny):
+        # on every level, fine nodes on the free lattice get the values of a
+        # function bilinear in the lattice indices (interpolation is by index)
+        # that vanishes on the pinned side x = 1; 1024 x 16 keeps its short
+        # side, which interpolates by the identity
+        grid = Grid(nx, ny, y_sides_natural=True)
+        rows, cols = grid.free_lattice()
+
+        def on_lattice(ix, iy):
+            return ((ix[-1] - ix)[None, :] * (2.0 + 3.0 * iy)[:, None])[rows, cols].ravel()
+
+        def coarse_nodes(n, other, flip):
+            """Fine index of each coarse node of a side of n cells."""
+            if n < 4 or 2 * n < other:
+                return np.arange(n + 1)
+            keep = np.unique(np.r_[0:n + 1:2, n])
+            return n - keep[::-1] if flip else keep
+
+        transfers = solver._transfers(grid)
+        for level, (restrict, prolong) in enumerate(transfers):
+            flip = level % 2 == 1
+            cx, cy = coarse_nodes(nx, ny, flip), coarse_nodes(ny, nx, flip)
+            assert np.array_equal(prolong @ on_lattice(cx, cy),
+                                  on_lattice(np.arange(nx + 1), np.arange(ny + 1)))
+            assert (restrict != prolong.T).nnz == 0
+            nx, ny = cx.size - 1, cy.size - 1
+        assert transfers and (nx + 1) * (ny + 1) - (ny + 1) <= solver.COARSEST
 
     def test_odd_sides_alternate_the_narrow_interval(self):
         # 289 -> 145 -> 73 cells on natural y sides: with the narrow coarse
@@ -232,7 +269,7 @@ class TestMultigrid:
     @pytest.mark.parametrize("nx, ny", [(64, 64), (96, 64), (13, 7), (97, 64)])
     def test_preconditioner_symmetric(self, nx, ny):
         _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
-        levels = solver._hierarchy(system)
+        levels = solver._hierarchy(system, solver._transfers(system.grid))
         rng = np.random.default_rng(7)
         assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
 
