@@ -137,9 +137,8 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
         f"rough.regions={len(config.roughness.regions)}",
     ]
     for k, r in enumerate(config.roughness.regions, start=1):
-        desc = f"n={_fmt(r.intensity())}"
         lines.append(f"rough.region.{k}={_fmt(r.x0)},{_fmt(r.y0)},"
-                     f"{_fmt(r.x1)},{_fmt(r.y1)},{desc}")
+                     f"{_fmt(r.x1)},{_fmt(r.y1)},n={_fmt(r.n)}")
     lines += [f"file={name}" for name in files]
     lines += [
         f"iterations={solution.iterations}",
@@ -228,8 +227,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError, so that `main` exits 2 with
+    one line; the subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roughlub",
         description="Thin-film pressure solver with homogenized roughness corrections.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,42 +109,22 @@ def evaluate_gap(profile: GapProfile, x, y):
 
 @dataclass(frozen=True)
 class RoughRegion:
-    """Axis-aligned rectangle with a roughness intensity.
-
-    Either a direct intensity `n` or cosine-ripple parameters
-    (`amplitude`, `wavenumber`) must be given, not both.
-    """
+    """Axis-aligned rectangle with a roughness intensity `n` in [0, N_MAX]."""
 
     x0: float
     y0: float
     x1: float
     y1: float
-    n: float | None = None
-    amplitude: float | None = None
-    wavenumber: int | None = None
+    n: float
 
     def __post_init__(self):
         if not (0.0 <= self.x0 < self.x1 <= 1.0 and 0.0 <= self.y0 < self.y1 <= 1.0):
             raise ConfigError(
                 f"rough region ({self.x0},{self.y0})-({self.x1},{self.y1}) "
                 "must be a nondegenerate rectangle inside the unit square")
-        direct = self.n is not None
-        cosine = self.amplitude is not None or self.wavenumber is not None
-        if direct == cosine:
-            raise ConfigError("rough region needs either n=<value> or amp=,wav= (not both)")
-        if cosine and (self.amplitude is None or self.wavenumber is None):
-            raise ConfigError("cosine rough region needs both amp= and wav=")
-        try:
-            n = self.intensity()
-        except ValueError as exc:
-            raise ConfigError(f"rough region {exc}") from None
-        if not 0.0 <= n <= N_MAX:  # false for nan as well
-            raise ConfigError(f"rough region intensity must be in [0, {N_MAX:g}], got {n}")
-
-    def intensity(self) -> float:
-        if self.n is not None:
-            return float(self.n)
-        return cosine_roughness_intensity(self.amplitude, self.wavenumber)
+        if not 0.0 <= self.n <= N_MAX:  # false for nan as well
+            raise ConfigError(f"rough region intensity must be in [0, {N_MAX:g}], "
+                              f"got {self.n}")
 
     def contains(self, x, y):
         return (self.x0 <= x) & (x <= self.x1) & (self.y0 <= y) & (y <= self.y1)
@@ -177,7 +157,7 @@ class RoughnessSpec:
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
         for r in self.regions:
-            out = np.where(r.contains(x, y), np.maximum(out, r.intensity()), out)
+            out = np.where(r.contains(x, y), np.maximum(out, r.n), out)
         return float(out) if out.ndim == 0 else out
 
     def inside_any(self, x, y):
@@ -273,13 +253,27 @@ class ScenarioConfig:
             raise ConfigError(f"solver.tol must be positive and finite, got {self.tol}")
 
 
-_KNOWN_KEYS = {
-    "grid.nx", "grid.ny", "gap.kind", "gap.c0", "gap.c1", "gap.table_path",
-    "velocity.ubx", "velocity.uby", "inlet.flux", "solver.tol",
+def _read_table(path: str) -> np.ndarray:
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from None
+
+
+# config key -> (field of GapProfile for the gap.* keys, of ScenarioConfig for
+# the others; conversion of the value); velocity.ubx and .uby make up u_b
+_KEYS = {
+    "gap.kind": ("kind", str), "gap.c0": ("c0", float), "gap.c1": ("c1", float),
+    "gap.table_path": ("table", _read_table),
+    "grid.nx": ("nx", int), "grid.ny": ("ny", int),
+    "velocity.ubx": ("ubx", float), "velocity.uby": ("uby", float),
+    "inlet.flux": ("q_e", float), "solver.tol": ("tol", float),
 }
 
 
 def _parse_region(value: str, where: str) -> RoughRegion:
+    """A `rough.region.K` value: the rectangle and either `n=<N>` or a cosine
+    ripple `amp=<a>,wav=<k>`, which is stored as its intensity."""
     parts = [p.strip() for p in value.split(",")]
     if len(parts) < 5:
         raise ConfigError(f"{where}: expected 'x0,y0,x1,y1,n=<N>' or "
@@ -300,16 +294,21 @@ def _parse_region(value: str, where: str) -> RoughRegion:
             kw[k] = float(v)
         except ValueError:
             raise ConfigError(f"{where}: bad numeric value for {k}: {v!r}") from None
-    wav = kw.get("wav")
+    n, amp, wav = kw.get("n"), kw.get("amp"), kw.get("wav")
     if wav is not None and not (math.isfinite(wav) and wav >= 1 and wav == int(wav)):
         raise ConfigError(f"{where}: wav must be a positive integer, got {wav:g}")
+    if (n is None) == (amp is None and wav is None):
+        raise ConfigError(f"{where}: rough region needs either n=<value> or amp=,wav= "
+                          "(not both)")
+    if n is None:
+        if amp is None or wav is None:
+            raise ConfigError(f"{where}: cosine rough region needs both amp= and wav=")
+        try:
+            n = cosine_roughness_intensity(amp, int(wav))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: rough region {exc}") from None
     try:
-        return RoughRegion(
-            x0, y0, x1, y1,
-            n=kw.get("n"),
-            amplitude=kw.get("amp"),
-            wavenumber=None if wav is None else int(wav),
-        )
+        return RoughRegion(x0, y0, x1, y1, n)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -317,9 +316,8 @@ def _parse_region(value: str, where: str) -> RoughRegion:
 def load_config(text: str) -> ScenarioConfig:
     """Parse a `key = value` scenario document (one pair per line, # comments).
 
-    Unknown keys are a hard error; omitted keys fall back to the reference
-    scenario: quadratic channel gap (c0=1, c1=0.5), bottom velocity (1, 0),
-    inlet flux 0.5, no roughness, solver.tol 1e-10.
+    Unknown keys are a hard error; an omitted key keeps the default of its
+    `ScenarioConfig` or `GapProfile` field.
     """
     values: dict[str, str] = {}
     regions: dict[int, str] = {}
@@ -333,54 +331,44 @@ def load_config(text: str) -> ScenarioConfig:
         key, value = key.strip(), value.strip()
         if key.startswith("rough.region."):
             suffix = key[len("rough.region."):]
-            if not suffix.isdigit():
+            if not suffix.isdecimal():
                 raise ConfigError(f"line {lineno}: bad rough region key {key!r}")
             k = int(suffix)
             if k in regions:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             regions[k] = value
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
 
-    def take(key, conv, default):
-        if key not in values:
-            return default
-        try:
-            return conv(values[key])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    kind = take("gap.kind", str, "quadratic_channel")
-    table = None
-    if kind == "tabulated":
-        path = values.get("gap.table_path")
-        if path is None:
-            raise ConfigError("key 'gap.table_path': required for gap.kind=tabulated")
-        try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"key 'gap.table_path': cannot read {path!r}: {exc}") from None
-    elif "gap.table_path" in values:
+    tabulated = values.get("gap.kind") == "tabulated"
+    if tabulated and "gap.table_path" not in values:
+        raise ConfigError("key 'gap.table_path': required for gap.kind=tabulated")
+    if not tabulated and "gap.table_path" in values:
         raise ConfigError("key 'gap.table_path': only valid with gap.kind=tabulated")
-    gap = GapProfile(kind=kind, c0=take("gap.c0", float, 1.0),
-                     c1=take("gap.c1", float, 0.5), table=table)
 
+    def converted(gap_keys: bool) -> dict:
+        """Converted values of the keys present, for GapProfile (the gap.*
+        keys) or for ScenarioConfig (the others)."""
+        out = {}
+        for key, (name, conv) in _KEYS.items():
+            if key in values and key.startswith("gap.") == gap_keys:
+                try:
+                    out[name] = conv(values[key])
+                except (ValueError, TypeError) as exc:
+                    raise ConfigError(f"key {key!r}: {exc}") from None
+        return out
+
+    gap = GapProfile(**converted(True))
     rough = RoughnessSpec(tuple(
         _parse_region(regions[k], f"key 'rough.region.{k}'") for k in sorted(regions)))
-
-    return ScenarioConfig(
-        nx=take("grid.nx", int, 64),
-        ny=take("grid.ny", int, 64),
-        gap=gap,
-        roughness=rough,
-        u_b=(take("velocity.ubx", float, 1.0), take("velocity.uby", float, 0.0)),
-        q_e=take("inlet.flux", float, 0.5),
-        tol=take("solver.tol", float, 1e-10),
-    )
+    top = converted(False)
+    ubx, uby = ScenarioConfig.u_b
+    return ScenarioConfig(gap=gap, roughness=rough,
+                          u_b=(top.pop("ubx", ubx), top.pop("uby", uby)), **top)
 
 
 def build_fields(config: ScenarioConfig) -> tuple[Grid, CoefficientFields]:

@@ -145,6 +145,40 @@ def test_point_outside_square_exits_2_before_solving(tmp_path, x, y, flag):
     assert flag in result.stderr
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--scenario", "fig3", "--nx", "abc", "--out", "{out}"], "--nx"),
+    (["solve", "--scenario", "fig3", "--nx", "8"], "--out"),
+    (["compare", "--scenario", "fig9", "--out", "{out}"], "--scenario"),
+    (["velocity", "--config", "{config}", "--x", "0.5", "--y", "0.5", "--nz", "1e3"],
+     "--nz"),
+    (["coeffs", "--n", "abc"], "--n"),
+    (["coeffs", "--n", "2", "--m", "3"], "--m"),
+    ([], "command"),
+], ids=["bad-int", "missing-out", "bad-choice", "float-for-int", "bad-float",
+        "unknown-flag", "no-subcommand"])
+def test_bad_command_line_exits_2_with_one_line(capsys, tmp_path, argv, name):
+    config = tmp_path / "smooth.cfg"
+    config.write_text(SMOOTH_DOC)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *(a.format(out=out_dir, config=config) for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert name in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_run_figures_script_writes_every_scenario(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    result = run_python(str(script), "--nx", "8", "--ny", "8", "--out", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    solve = {"pressure.csv", "fields.csv", "manifest.txt"}
+    compare = {"pressure_smooth.csv", "pressure_rough.csv", "difference.csv", "metrics.txt"}
+    expected = {f"fig{k}": solve for k in (2, 3, 4, 5)}
+    expected.update({f"fig{k}_compare": compare for k in (3, 4, 5)})
+    assert {path.name: {f.name for f in path.iterdir()}
+            for path in tmp_path.iterdir()} == expected
+
+
 class TestCoeffs:
     def test_smooth_values_exact(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "0")
@@ -274,6 +308,10 @@ class TestSolve:
                            str(tmp_path / "nope.cfg"), "--out", str(tmp_path))
         assert code == 2
         assert "not found" in err
+        code, _, err = run(capsys, "solve", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == "error: either --config or --scenario is required\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -25,12 +25,12 @@ class TestLoadConfig:
         config = load_config("rough.region.1 = 0.5,0,1,1,n=2\n")
         (region,) = config.roughness.regions
         assert (region.x0, region.y0, region.x1, region.y1) == (0.5, 0.0, 1.0, 1.0)
-        assert region.intensity() == 2.0
+        assert region.n == 2.0
 
     def test_rough_region_cosine(self):
         config = load_config("rough.region.1 = 0,0,1,1,amp=0.5,wav=2\n")
         (region,) = config.roughness.regions
-        assert region.intensity() == pytest.approx(0.125 * (4 * np.pi) ** 2)
+        assert region.n == pytest.approx(0.125 * (4 * np.pi) ** 2)
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
@@ -72,6 +72,12 @@ class TestLoadConfig:
             load_config("rough.region.1 = 0,0,1,1,n=2,amp=1,wav=1\n")
         with pytest.raises(ConfigError):
             load_config("rough.region.1 = 0,0,1,1,amp=1\n")
+
+    @pytest.mark.parametrize("suffix", ["x", "", "-1", "\u00b2"])
+    def test_rough_region_key_must_end_in_decimal_digits(self, suffix):
+        # "\u00b2" (superscript two) is a digit to str.isdigit, but int() refuses it
+        with pytest.raises(ConfigError, match="line 1: bad rough region key"):
+            load_config(f"rough.region.{suffix} = 0,0,1,1,n=1\n")
 
     def test_validation_error_names_key(self):
         with pytest.raises(ConfigError, match="solver.tol|tolerance"):
@@ -256,10 +262,8 @@ class TestBuildFields:
         assert np.all(fields.a[~rough] == 1.0)
 
     def test_zero_amplitude_cosine_equals_smooth(self):
-        rough = ScenarioConfig(
-            nx=8, ny=8,
-            roughness=RoughnessSpec((RoughRegion(0.0, 0.0, 1.0, 1.0,
-                                                 amplitude=0.0, wavenumber=1),)))
+        rough = load_config("grid.nx = 8\ngrid.ny = 8\n"
+                            "rough.region.1 = 0,0,1,1,amp=0,wav=1\n")
         smooth = ScenarioConfig(nx=8, ny=8)
         _, f_rough = build_fields(rough)
         _, f_smooth = build_fields(smooth)

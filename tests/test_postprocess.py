@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughlub.coefficients import cosine_roughness_intensity
 from roughlub.geometry import (RoughnessSpec, RoughRegion, ScenarioConfig,
                                build_fields)
 from roughlub.postprocess import (Z_COUNT_MAX, _dawson_primitive,
@@ -218,7 +219,7 @@ class TestCompareFields:
 
     def test_zero_amplitude_roughness_is_noise_level(self):
         spec = RoughnessSpec((RoughRegion(0.0, 0.0, 1.0, 1.0,
-                                          amplitude=0.0, wavenumber=1),))
+                                          n=cosine_roughness_intensity(0.0, 1)),))
         smooth = solve_reynolds(ScenarioConfig(nx=32, ny=32))
         rough = solve_reynolds(ScenarioConfig(nx=32, ny=32, roughness=spec))
         grid, _ = build_fields(ScenarioConfig(nx=32, ny=32))
