@@ -9,7 +9,10 @@ the `fields.csv` write and one whole CLI run, each as the median over
 `--repeats` calls after one warm-up call.  Cases: a 96x64 design with two
 rough rectangles (stages of its rough run; the CLI run is `compare`) and the
 `fig3` preset at nx = ny in SIZES (the CLI run is `solve`).  CG iterations
-and multigrid level sizes come from the timed `solve_linear`.
+and multigrid level sizes come from the timed `solve_linear`.  A last case,
+`pointwise`, times the per-point layers alone: `coefficients(n)` and
+`velocity_profile(..., z_count=256)` over POINTWISE_N, a fixed log-uniform
+set on [1e-3, 700], split at the series/closed-form boundary N = 10.
 
 The roughlub package is imported from `--src` (default: this checkout's
 `src/`), so two source trees can be measured by the same script into one
@@ -18,7 +21,9 @@ already in the file under another label is kept, one under the same label is
 replaced.  Each run holds `machine` (nproc, Python, numpy and scipy
 versions), `repeats` and `cases`; each case holds `case`, `command`,
 `nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear, pressure_csv,
-fields_csv), `command_s`, `cg_iterations` and `levels`.
+fields_csv), `command_s`, `cg_iterations` and `levels`; the `pointwise`
+case holds `n_count` and `per_call_s`, the median time of one call in each
+part of the split.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ SIZES = (64, 128, 256, 512)
 DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
           "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"
           "rough.region.2 = 0.625,0.125,0.875,0.5,n=20\n")
+POINTWISE_N = [1e-3 * 7e5 ** (k / 63) for k in range(64)]  # log-uniform on [1e-3, 700]
 
 
 def median_time(call, repeats: int) -> float:
@@ -85,6 +91,24 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
     }
 
 
+def measure_pointwise(repeats: int) -> dict:
+    from roughlub import coefficients, velocity_profile
+
+    parts = {"n_le_10": [n for n in POINTWISE_N if n <= 10.0],
+             "n_gt_10": [n for n in POINTWISE_N if n > 10.0]}
+    calls = {"coefficients": coefficients,
+             "velocity_profile": lambda n: velocity_profile(1.0, n, (1.0, 0.0), (1.0, 0.0),
+                                                            z_count=256)}
+    per_call = {}
+    for name, call in calls.items():
+        for part, ns in parts.items():
+            per_call[f"{name}_{part}"] = median_time(
+                lambda: [call(n) for n in ns], repeats) / len(ns)
+    return {"case": "pointwise",
+            "n_count": {part: len(ns) for part, ns in parts.items()},
+            "per_call_s": per_call}
+
+
 def measure(repeats: int) -> list[dict]:
     import dataclasses
 
@@ -103,6 +127,7 @@ def measure(repeats: int) -> list[dict]:
             config = dataclasses.replace(ScenarioConfig(), nx=n, ny=n, roughness=fig3)
             argv = ["solve", "--scenario", "fig3", "--nx", str(n), "--ny", str(n)]
             cases.append(measure_case(f"fig3-{n}", config, argv, repeats, tmp))
+    cases.append(measure_pointwise(repeats))
     return cases
 
 

@@ -55,7 +55,7 @@ def _load_scenario(config_path: str | None, scenario: str | None,
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
+            raise ConfigError(f"config file not found: {config_path!r}")
         config = load_config(path.read_text(encoding="utf-8"))
     else:
         config = ScenarioConfig()
@@ -155,7 +155,7 @@ def _output_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: "
+        raise ConfigError(f"cannot create output directory {path!r}: "
                           f"{exc.strerror or exc}") from None
     return out
 

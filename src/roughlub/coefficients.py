@@ -25,17 +25,20 @@ scaled complementary error function erfcx (DLMF section 7):
 ``coefficients(N)`` is the one evaluation of A and B; ``poiseuille_coeff``
 and ``couette_coeff`` read its fields.  It computes each kernel once per call.
 Above ``_N_LARGE`` = 10 it uses these forms, with E on a fixed 64-node
-Gauss-Legendre rule and one dawsn(r) shared by A and B.  At or below it, I1
-(``growth_integral``), I2 - 1 and I3 are that same fixed rule applied to the
-defining integrals (numpy only), and A keeps the grouping
-12 (em I2 + (I2 - 1) - em I3 / I1) / N with em = e^{N/2} - 1, in which every
-term vanishes linearly with N.  ``decay_integral`` gives I2 by the erf form
-at every N.
+Gauss-Legendre rule and one dawsn(r) shared by A and B.  At or below it,
+I1, I3, A and B come from one table of power series in a = N/2 (``_SERIES``,
+also read by the velocity profile): with K(Z) = int_0^Z exp(a s^2) ds and
+J(Z) = int_0^Z int_0^s exp(a (s^2 - t^2)) dt ds, its columns are the a^k
+coefficients of
 
-A flat surface, N = 0, recovers the classical A = 1, B = 1/2.  The 1/N
-prefactors are removable singularities: below ``N_SWITCH`` the Taylor forms
-A = 1 + N/20 + O(N^2), B = 1/2 + N/24 + O(N^2) replace the quotient form,
-which would lose all significant digits.
+    I1 = K(1),   I3 = J(1),   A I1 / 12 = J(1) int_0^1 K - K(1) int_0^1 J,
+    B I1 = (e^a - 1) / (2a),
+
+where the third is the Poiseuille flux of the velocity profile.  Every
+coefficient is positive, so no sum cancels and the removable singularity of
+the 1/N prefactors at N = 0 needs no branch of its own: N = 0 reads the first
+row, the classical A = 1, B = 1/2.  ``decay_integral`` gives I2 by the erf
+form at every N.
 
 ``scipy.special`` is imported only for N > 10: importing it costs tens of
 milliseconds, which every command-line run would otherwise pay.
@@ -48,24 +51,34 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Switch to the Taylor branch below this intensity (the quotient form loses
-# accuracy like eps/N); both branches agree to ~1e-14 at the switch.
-N_SWITCH = 1e-6
-
 # exp(N/2) overflows doubles near N ~ 1419; stop well before so that
 # products of kernel values stay finite.
 N_MAX = 700.0
 
-# Fixed Gauss rules up to here, closed forms above.  The closed form of A
-# cancels as N -> 0, the grouped fixed-rule form at the e^{N/2} scale as N
-# grows (3e-12 relative at N = 20); both agree to ~1e-14 at the split.
+# Power series up to here, closed forms above.  The closed form of A cancels
+# as N -> 0; both agree to ~2e-15 at the split.
 _N_LARGE = 10.0
 
-# One 64-node Gauss-Legendre rule on (0, 1), shared by every fixed-rule sum.
+
+def _series_table(terms: int) -> np.ndarray:
+    """a^k coefficients, one row per k, of I1, I3, A I1 / 12 and B I1."""
+    f = math.factorial
+    k1 = [1.0 / (f(k) * (2 * k + 1)) for k in range(terms)]
+    j1 = [4**k * f(k) / (f(2 * k + 1) * (2 * k + 2)) for k in range(terms)]  # m_k/k!
+    # int_0^1 Z^{2k+1} dZ = 1/(2k+2) and int_0^1 Z^{2k+2} dZ = 1/(2k+3)
+    flux = [math.fsum(j1[i] * k1[k - i] / (2 * k - 2 * i + 2)
+                      - k1[i] * j1[k - i] / (2 * k - 2 * i + 3) for i in range(k + 1))
+            for k in range(terms)]
+    return np.array([k1, j1, flux, [0.5 / f(k + 1) for k in range(terms)]]).T
+
+
+# At a <= 5 the first omitted a^k/k! is < 3e-28.
+_SERIES = _series_table(48)
+
+# One 64-node Gauss-Legendre rule on (0, 1), for E.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-_NODE_PRODUCTS_SQ = np.square(np.outer(_GL_NODES, _GL_NODES))  # (s_i u_k)^2
 
 
 class CoefficientPair(NamedTuple):
@@ -84,17 +97,9 @@ def _check_intensity(n: float) -> float:
     return n
 
 
-def _fixed_rule_kernels(n: float) -> tuple[float, float]:
-    """I2 - 1 and I3 on the fixed Gauss rule (accurate for n <= _N_LARGE).
-
-    I3 = int_0^1 exp(n s^2/2) G(s) ds, where the inner integral
-    G(s) = s * int_0^1 exp(-n (s u)^2 / 2) du is taken on the same rule.
-    """
-    half = 0.5 * n
-    growth = np.exp(half * _GL_NODES * _GL_NODES)
-    inner = _GL_NODES * (np.exp(-half * _NODE_PRODUCTS_SQ) @ _GL_WEIGHTS)
-    return (float(_GL_WEIGHTS @ np.expm1(-half * _GL_NODES * _GL_NODES)),
-            float(_GL_WEIGHTS @ (growth * inner)))
+def _series_sums(n: float) -> list[float]:
+    """The column sums of _SERIES at a = n/2: I1, I3, A I1 / 12 and B I1."""
+    return ((0.5 * n) ** np.arange(len(_SERIES)) @ _SERIES).tolist()
 
 
 def _erfcx_mean(r: float) -> float:
@@ -107,7 +112,7 @@ def growth_integral(n: float) -> float:
     """I1(n) = int_0^1 exp(n s^2 / 2) ds."""
     n = _check_intensity(n)
     if n <= _N_LARGE:
-        return float(_GL_WEIGHTS @ np.exp(0.5 * n * _GL_NODES * _GL_NODES))
+        return _series_sums(n)[0]
     from scipy.special import dawsn
     r = math.sqrt(0.5 * n)
     return math.exp(0.5 * n) * float(dawsn(r)) / r
@@ -126,7 +131,7 @@ def triangle_integral(n: float) -> float:
     """I3(n) = int_0^1 int_0^s exp(n (s^2 - t^2) / 2) dt ds."""
     n = _check_intensity(n)
     if n <= _N_LARGE:
-        return _fixed_rule_kernels(n)[1]
+        return _series_sums(n)[1]
     r = math.sqrt(0.5 * n)
     return math.sqrt(math.pi) / (2.0 * r) * (growth_integral(n) - _erfcx_mean(r))
 
@@ -138,19 +143,14 @@ def coefficients(n: float) -> CoefficientPair:
     intensity range, so the homogenized pressure equation remains elliptic.
     """
     n = _check_intensity(n)
-    if n < N_SWITCH:
-        return CoefficientPair(1.0 + n / 20.0, 0.5 + n / 24.0)
-    em = math.expm1(0.5 * n)  # e^{n/2} - 1
     if n <= _N_LARGE:
         i1 = growth_integral(n)
-        i2m1, i3 = _fixed_rule_kernels(n)
-        # Grouped so every term vanishes linearly with n: dividing by n is
-        # then benign instead of catastrophic.
-        return CoefficientPair(12.0 * (em * (1.0 + i2m1) + i2m1 - em * i3 / i1) / n,
-                               em / n / i1)
+        _, _, flux, shear = _series_sums(n)
+        return CoefficientPair(12.0 * flux / i1, shear / i1)
     from scipy.special import dawsn, erfcx
     r = math.sqrt(0.5 * n)
     d = float(dawsn(r))
+    em = math.expm1(0.5 * n)  # e^{n/2} - 1
     # No term in the bracket is of size e^{n/2}: those parts of e^{n/2} I2
     # and (e^{n/2} - 1) I3 / I1 cancel analytically.
     bracket = 1.0 - float(erfcx(r)) - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / d

@@ -254,8 +254,10 @@ class ScenarioConfig:
 
 
 def _read_table(path: str) -> np.ndarray:
+    # np.loadtxt would fetch a path that looks like a URL; a handle is a file
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path, encoding="utf-8") as f:
+            return np.loadtxt(f, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
 

@@ -14,7 +14,10 @@ h B U_b - (h^3 A / 12) grad_p, which is the consistency check exported here.
 The kernels are evaluated directly, without adaptive quadrature, split at
 the coefficients' ``_N_LARGE`` = 10.  With a = n/2 and r = sqrt(a):
 
-* n <= 10: 48-term power series, all terms positive,
+* n <= 10: 48-term power series, all terms positive, read from the first
+  two columns of the coefficients' ``_SERIES`` table.  Those hold the a^k
+  coefficients of K(1) = I1 and J(1) = I3, which are also the coefficients
+  of a^k Z^{2k+1} in K(Z) and of a^k Z^{2k+2} in J(Z):
   K(Z) = sum_k a^k Z^{2k+1} / (k! (2k+1)) and
   J(Z) = sum_k a^k m_k Z^{2k+2} / k!, m_k = 4^k (k!)^2 / ((2k+1)! (2k+2)).
 * n > 10: K and J grow like e^{n/2}, so the profile is written in bounded
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _N_LARGE, _check_intensity, coefficients
+from .coefficients import _N_LARGE, _SERIES, _check_intensity, coefficients
 from .geometry import Grid, RoughnessSpec
 from .solver import PressureSolution
 
@@ -63,13 +66,6 @@ class ComparisonReport:
     l2: float
     linf: float
     l2_outside_rough: float
-
-
-# Z^{2k} coefficients of K(Z)/Z and J(Z)/Z^2 without the factor a^k, one row
-# per k: 1/(k!(2k+1)) and m_k/k!.  At a <= 5 the first omitted a^k/k! is < 3e-28.
-_SERIES = np.array([[1.0 / (math.factorial(k) * (2 * k + 1)),
-                     4**k * math.factorial(k) / (math.factorial(2 * k + 1) * (2 * k + 2))]
-                    for k in range(48)])
 
 
 # Largest z_count: a profile then peaks at about 13 MB (16 Gauss nodes per interval).
@@ -100,7 +96,7 @@ def _kernel_profile(n: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n <= _N_LARGE:
         a = 0.5 * n
         powers = np.vander(z * z, len(_SERIES), increasing=True)
-        kj = powers @ (_SERIES * a ** np.arange(len(_SERIES))[:, None])
+        kj = powers @ (_SERIES[:, :2] * a ** np.arange(len(_SERIES))[:, None])
         k, j = z * kj[:, 0], z * z * kj[:, 1]
         ratio = k / k[-1]
         poiseuille = j - j[-1] * ratio

@@ -1,7 +1,7 @@
 """Independent brute-force quadrature oracles used across the test suite.
 
 Everything here is composite Simpson on uniform grids, deliberately distinct
-from the fixed Gauss rules and closed forms used by the package itself.
+from the power series, Gauss rules and closed forms used by the package itself.
 Special functions (Dawson's integral) are taken from ``scipy.special``; only
 the quadrature is independent.  `residual_check` measures a pressure solution
 against its assembled system.

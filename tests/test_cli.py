@@ -154,8 +154,11 @@ def test_point_outside_square_exits_2_before_solving(tmp_path, x, y, flag):
     (["coeffs", "--n", "abc"], "--n"),
     (["coeffs", "--n", "2", "--m", "3"], "--m"),
     ([], "command"),
+    # paths holding a newline; the --out one lies under a regular file
+    (["solve", "--config", "a\nb", "--out", "{out}"], "'a\\nb'"),
+    (["solve", "--scenario", "fig3", "--out", "{config}/a\nb"], "a\\nb'"),
 ], ids=["bad-int", "missing-out", "bad-choice", "float-for-int", "bad-float",
-        "unknown-flag", "no-subcommand"])
+        "unknown-flag", "no-subcommand", "newline-config", "newline-out"])
 def test_bad_command_line_exits_2_with_one_line(capsys, tmp_path, argv, name):
     config = tmp_path / "smooth.cfg"
     config.write_text(SMOOTH_DOC)
@@ -399,6 +402,24 @@ class TestSolve:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "gap.table_path" in err
+
+    def test_table_path_url_is_a_missing_file(self, capsys, monkeypatch, tmp_path):
+        # np.loadtxt given a path fetches a URL and caches a copy under the
+        # current directory; numpy imports urlopen inside the call
+        import urllib.request
+
+        def no_fetch(*args, **kwargs):
+            pytest.fail("gap.table_path was fetched over the network")
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "url.cfg"
+        config.write_text(SMOOTH_DOC + "gap.kind = tabulated\n"
+                          "gap.table_path = http://127.0.0.1:9/t.csv\n")
+        code, _, err = run(capsys, "solve", "--config", str(config), "--out", "out")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "gap.table_path" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["url.cfg"]
 
     @pytest.mark.parametrize("line", ["inlet.flux = 1e200", "inlet.flux = 1e154",
                                       "velocity.ubx = 1e308"])

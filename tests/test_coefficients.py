@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughlub.coefficients import (N_SWITCH, coefficients, cosine_roughness_intensity,
-                                   couette_coeff, decay_integral, growth_integral,
+from roughlub.coefficients import (coefficients, cosine_roughness_intensity, couette_coeff,
+                                   decay_integral, growth_integral,
                                    poiseuille_coeff, triangle_integral)
 
 from oracles import (couette_oracle, decay_oracle, growth_oracle,
                      poiseuille_oracle, triangle_oracle)
 
 ORACLE_INTENSITIES = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
+
+# (N, A, B) to 20 digits, from the defining integrals in 45-digit mpmath
+REFERENCE_PAIRS = [
+    (1e-7, 1.0000000049999999762, 0.50000000416666668056),
+    (0.5, 1.0243488756397526679, 0.52115988526591804832),
+    (2.0, 1.086970024193462126, 0.58738583304849302502),
+    (5.0, 1.1437728461215235775, 0.71630366798420704182),
+    (10.0, 1.0509433215487897287, 0.85844284127841208907),
+]
 
 
 def rel_err(computed, reference):
@@ -78,13 +87,23 @@ class TestCoefficients:
         assert poiseuille_coeff(n) == pytest.approx(poiseuille_oracle(n), abs=1e-9)
         assert couette_coeff(n) == pytest.approx(couette_oracle(n), abs=1e-9)
 
-    def test_continuity_at_taylor_switch(self):
-        below = N_SWITCH * (1.0 - 1e-9)
-        assert abs(poiseuille_coeff(below) - poiseuille_coeff(N_SWITCH)) <= 1e-9
-        assert abs(couette_coeff(below) - couette_coeff(N_SWITCH)) <= 1e-9
+    @pytest.mark.parametrize("n, a, b", REFERENCE_PAIRS)
+    def test_against_reference_values(self, n, a, b):
+        pair = coefficients(n)
+        assert abs(pair.a - a) <= 1e-15 * a
+        assert abs(pair.b - b) <= 1e-15 * b
+
+    def test_small_intensity_matches_taylor_form(self):
+        # A = 1 + N/20 + O(N^2), B = 1/2 + N/24 + O(N^2); the eps term covers
+        # the round-off of the sums themselves
+        eps = 2.2e-16
+        for n in np.geomspace(1e-12, 1e-4, 81):
+            pair = coefficients(n)
+            assert abs(pair.a - (1.0 + n / 20.0)) <= n * n + 4.0 * eps
+            assert abs(pair.b - (0.5 + n / 24.0)) <= n * n + 4.0 * eps
 
     def test_continuity_at_closed_form_split(self):
-        # fixed Gauss rules at N <= 10, Dawson/erfcx closed forms above
+        # power series at N <= 10, Dawson/erfcx closed forms above
         above = np.nextafter(10.0, 11.0)
         assert abs(poiseuille_coeff(above) - poiseuille_coeff(10.0)) <= 1e-12
         assert abs(couette_coeff(above) - couette_coeff(10.0)) <= 1e-12
@@ -107,8 +126,9 @@ class TestCoefficients:
             pair = coefficients(n)
             assert pair.a == poiseuille_coeff(n)
             assert pair.b == couette_coeff(n)
-            if n >= N_SWITCH:
-                # B is (e^{n/2} - 1) / n / I1 with the I1 of growth_integral, bit for bit
+            if n > 10.0:
+                # above the series, B is (e^{n/2} - 1) / n / I1 with the I1 of
+                # growth_integral, bit for bit
                 assert pair.b == math.expm1(0.5 * n) / n / growth_integral(n)
 
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))

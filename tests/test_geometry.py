@@ -281,7 +281,7 @@ class TestBuildFields:
 
     def test_coefficient_invariants_per_cell(self):
         from roughlub.coefficients import couette_coeff, poiseuille_coeff
-        # one region per regime: Taylor, fixed rule, closed form; smooth elsewhere
+        # one region per regime: near zero, series, closed form; smooth elsewhere
         config = ScenarioConfig(nx=6, ny=6, roughness=RoughnessSpec((
             RoughRegion(0.0, 0.0, 0.5, 0.5, n=5e-7),
             RoughRegion(0.5, 0.0, 1.0, 0.5, n=3.0),
