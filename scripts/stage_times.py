@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Median wall time of each pipeline stage and of whole CLI runs.
 
-    python scripts/stage_times.py --label change --out BENCH.json
-    python scripts/stage_times.py --src /path/to/other/src --label parent --out BENCH.json
+    python scripts/stage_times.py --tree change=src --out BENCH.json
+    python scripts/stage_times.py --tree parent=/path/to/parent/src --tree change=src \
+        --out BENCH.json
 
 Times `build_fields`, `assemble`, `solve_linear`, the `pressure.csv` write,
 the `fields.csv` write and one whole CLI run, each as the median over
@@ -14,16 +15,18 @@ and multigrid level sizes come from the timed `solve_linear`.  A last case,
 `velocity_profile(..., z_count=256)` over POINTWISE_N, a fixed log-uniform
 set on [1e-3, 700], split at the series/closed-form boundary N = 10.
 
-The roughlub package is imported from `--src` (default: this checkout's
-`src/`), so two source trees can be measured by the same script into one
-file.  The output is JSON: `schema`, then `runs`, keyed by `--label`; a run
-already in the file under another label is kept, one under the same label is
-replaced.  Each run holds `machine` (nproc, Python, numpy and scipy
-versions), `repeats` and `cases`; each case holds `case`, `command`,
-`nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear, pressure_csv,
-fields_csv), `command_s`, `cg_iterations` and `levels`; the `pointwise`
-case holds `n_count` and `per_call_s`, the median time of one call in each
-part of the split.
+Each `--tree LABEL=SRC` names a source tree to import roughlub from.  Every
+case of every tree runs in a fresh child interpreter, and the trees take
+turns to go first, case by case, so that drift of the machine over the run
+falls on all trees alike.  The output is JSON: `schema`, then `runs`, keyed
+by label; a run already in the file under another label is kept, one under
+the same label is replaced.  Each run holds `machine` (nproc, Python, numpy
+and scipy versions), `repeats` and `cases`; each case holds `case`,
+`command`, `nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear,
+pressure_csv, fields_csv), `command_s`, `cg_iterations` and `levels`; the
+`pointwise` case holds `n_count` and `per_call_s`, the median time of one
+call in each part of the split.  `--case NAME` with one `--tree` prints that
+one case as JSON instead.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 SCHEMA = "roughlub-stage-times/1"
-SIZES = (64, 128, 256, 512)
+SIZES = (64, 128, 250, 256, 512)
+CASES = ("design-96x64", *(f"fig3-{n}" for n in SIZES), "pointwise")
 DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
           "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"
           "rough.region.2 = 0.625,0.125,0.875,0.5,n=20\n")
@@ -109,55 +114,85 @@ def measure_pointwise(repeats: int) -> dict:
             "per_call_s": per_call}
 
 
-def measure(repeats: int) -> list[dict]:
+def measure(case: str, repeats: int) -> dict:
     import dataclasses
 
     from roughlub import cli
     from roughlub.geometry import RoughnessSpec, ScenarioConfig, load_config
 
-    cases = []
+    if case == "pointwise":
+        return measure_pointwise(repeats)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        design = tmp / "design.cfg"
-        design.write_text(DESIGN, encoding="utf-8")
-        cases.append(measure_case("design-96x64", load_config(DESIGN),
-                                  ["compare", "--config", str(design)], repeats, tmp))
-        fig3 = RoughnessSpec(cli.PRESET_REGIONS["fig3"])
-        for n in SIZES:
-            config = dataclasses.replace(ScenarioConfig(), nx=n, ny=n, roughness=fig3)
-            argv = ["solve", "--scenario", "fig3", "--nx", str(n), "--ny", str(n)]
-            cases.append(measure_case(f"fig3-{n}", config, argv, repeats, tmp))
-    cases.append(measure_pointwise(repeats))
-    return cases
+        if case == "design-96x64":
+            design = tmp / "design.cfg"
+            design.write_text(DESIGN, encoding="utf-8")
+            return measure_case(case, load_config(DESIGN),
+                                ["compare", "--config", str(design)], repeats, tmp)
+        n = int(case.removeprefix("fig3-"))
+        config = dataclasses.replace(ScenarioConfig(), nx=n, ny=n,
+                                     roughness=RoughnessSpec(cli.PRESET_REGIONS["fig3"]))
+        argv = ["solve", "--scenario", "fig3", "--nx", str(n), "--ny", str(n)]
+        return measure_case(case, config, argv, repeats, tmp)
+
+
+def measure_in_child(case: str, label: str, src: str, repeats: int) -> dict:
+    result = subprocess.run([sys.executable, __file__, "--case", case,
+                             "--tree", f"{label}={src}", "--repeats", str(repeats)],
+                            capture_output=True, text=True)
+    if result.returncode != 0:
+        raise SystemExit(f"error: case {case} of tree {label} failed:\n{result.stderr}")
+    return json.loads(result.stdout)
+
+
+def parse_tree(text: str) -> tuple[str, str]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {text!r}")
+    return label, str(Path(src).resolve())
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
-                        help="source tree to import roughlub from")
-    parser.add_argument("--label", required=True, help="key of this run in the output")
-    parser.add_argument("--out", required=True, help="JSON file to write or update")
+    parser.add_argument("--tree", type=parse_tree, action="append", required=True,
+                        help="LABEL=SRC: a source tree to import roughlub from")
+    parser.add_argument("--out", help="JSON file to write or update")
     parser.add_argument("--repeats", type=int, default=9, help="timed calls per median (>= 3)")
+    parser.add_argument("--case", choices=CASES, help="print this one case of one tree")
     args = parser.parse_args()
     if args.repeats < 3:
         parser.error("--repeats must be >= 3")
-    sys.path.insert(0, args.src)
+    trees = dict(args.tree)
+    if len(trees) != len(args.tree):
+        parser.error("each --tree needs its own label")
+    if args.case is not None:
+        if len(trees) != 1:
+            parser.error("--case takes exactly one --tree")
+        (src,) = trees.values()
+        sys.path.insert(0, src)
+        print(json.dumps(measure(args.case, args.repeats)))
+        return
+    if args.out is None:
+        parser.error("--out is required")
 
     import numpy
     import scipy
 
-    run = {
-        "repeats": args.repeats,
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__},
-        "cases": measure(args.repeats),
-    }
+    machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
+               "numpy": numpy.__version__, "scipy": scipy.__version__}
+    labels = list(trees)
+    cases = {label: [] for label in labels}
+    for i, case in enumerate(CASES):
+        turn = i % len(labels)
+        for label in labels[turn:] + labels[:turn]:
+            cases[label].append(measure_in_child(case, label, trees[label], args.repeats))
     out = Path(args.out)
     document = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     if document.get("schema", SCHEMA) != SCHEMA:
         raise SystemExit(f"error: {out} has schema {document['schema']!r}, not {SCHEMA!r}")
     runs = document.get("runs", {})
-    runs[args.label] = run
+    runs.update({label: {"repeats": args.repeats, "machine": machine, "cases": cases[label]}
+                 for label in labels})
     out.write_text(json.dumps({"schema": SCHEMA, "runs": runs}, indent=1) + "\n",
                    encoding="utf-8")
 

@@ -70,54 +70,66 @@ def _load_scenario(config_path: str | None, scenario: str | None,
 
 
 def _distinct_text(values) -> tuple[np.ndarray, np.ndarray]:
-    """Texts of the distinct bit patterns in `values` (so -0.0 keeps its own
-    text), each formatted once, and every entry's index into them."""
+    """Texts (ASCII bytes) of the distinct bit patterns in `values` (so -0.0
+    keeps its own text), each formatted once, and every entry's index into
+    them."""
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array([_fmt(v).encode() for v in bits.view(np.float64).tolist()], dtype=object)
     return text, inverse
 
 
-def _write_rows(path: Path, header: str, keys, values=()) -> None:
-    """Write `header`, then one comma-joined row per entry of the equal-length
-    float arrays in `keys` and then `values`, CSV_BLOCK_ROWS rows per write.
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the equal-length float arrays `columns` as
+    comma-joined texts, each number formatted once (`_distinct_text`), and
+    every row's index into them."""
+    text, key = _distinct_text(columns[0])
+    for column in columns[1:]:
+        tail, index = _distinct_text(column)
+        # dense again after each column, so the combined key stays below
+        # len(column)**2 and cannot overflow, whatever the columns hold
+        pairs, key = np.unique(key * tail.size + index, return_inverse=True)
+        text = text[pairs // tail.size] + b"," + tail[pairs % tail.size]
+    return text, key
 
-    Every number reads as `_fmt` writes it.  `keys` are columns with few
-    distinct values, each formatted once (`_distinct_text`).  With `values`,
-    one `%` call formats a whole block, taking the key texts under %s and the
-    values as floats under %.17g, the same conversion as `_fmt`.  Without
-    them the key texts are joined, which is faster than %s.
+
+def _write_lattice(path: Path, header: str, x: np.ndarray, y: np.ndarray,
+                   cell: str, rows) -> None:
+    """Write `header`, then the line `x,y,v` for every point of the lattice
+    `x` by `y` in row-major order; `rows` yields one list of the values v per
+    entry of `y`, and `cell` is their `%` conversion.
+
+    Every number reads as `_fmt` writes it (`%.17g` is the same conversion).
+    The x texts are formatted once, into one template per CSV_BLOCK_ROWS
+    points of a lattice row, so each write is one template with the y text
+    put in by `bytes.replace` and the values by one `%` call.  The file is
+    written as ASCII bytes, so no text layer encodes it again.
     """
-    texts = [_distinct_text(column) for column in keys]
-    values = [np.asarray(column, dtype=np.float64) for column in values]
-    width = len(texts) + len(values)
-    row = ",".join(["%s"] * len(texts) + ["%.17g"] * len(values)) + "\n"
-    n_rows = texts[0][1].size
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header)
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block = [text[index[start:stop]].tolist() for text, index in texts]
-            if not values:
-                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
-                continue
-            block += [column[start:stop].tolist() for column in values]
-            cells = [None] * (width * (stop - start))
-            for j, column in enumerate(block):
-                cells[j::width] = column
-            fh.write(row * (stop - start) % tuple(cells))
+    points = [f"{_fmt(v)},\0,{cell}\n" for v in x.tolist()]
+    templates = [(start, "".join(points[start:start + CSV_BLOCK_ROWS]).encode())
+                 for start in range(0, len(points), CSV_BLOCK_ROWS)]
+    with path.open("wb") as fh:
+        fh.write(header.encode())
+        for yv, row in zip(y.tolist(), rows):
+            yt = _fmt(yv).encode()
+            for start, template in templates:
+                fh.write(template.replace(b"\0", yt)
+                         % tuple(row[start:start + CSV_BLOCK_ROWS]))
 
 
 def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
                         value_name: str = "p") -> None:
-    _write_rows(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
-                grid.node_coords(), (p,))
+    x, y = grid.node_coords()
+    _write_lattice(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
+                   x[:grid.nx + 1], y[::grid.nx + 1], "%.17g",
+                   (row.tolist() for row in p.reshape(grid.ny + 1, grid.nx + 1)))
 
 
 def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
-    _write_rows(path, "x,y,n_psi,a,b,h1\n",
-                (*grid.cell_barycenters(), fields.n_psi, fields.a, fields.b,
-                 fields.h1_bar))
+    x, y = grid.cell_barycenters()
+    text, index = _distinct_rows((fields.n_psi, fields.a, fields.b, fields.h1_bar))
+    _write_lattice(path, "x,y,n_psi,a,b,h1\n", x[:grid.nx], y[::grid.nx], "%s",
+                   (text[row].tolist() for row in index.reshape(grid.ny, grid.nx)))
 
 
 def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,

@@ -247,25 +247,51 @@ class TestSolve:
         assert levels == sorted(levels, reverse=True)
         assert int(manifest["iterations"]) >= 1
 
-    def test_csv_writers_match_per_value_formatting(self, tmp_path):
-        # the writers format one block of rows per % call, and key columns once
-        # per distinct value; the bytes must equal formatting every value in
-        # place, -0.0, nan, inf and both ends of the float range included.
-        # 70 x 60 has more nodes and more cells than CSV_BLOCK_ROWS.
+    def test_csv_writers_match_per_value_formatting(self, tmp_path, monkeypatch):
+        # the writers put each lattice row's values into a template of its x
+        # texts with one % call, and format the fields.csv tail once per
+        # distinct row; the bytes must equal formatting every value in place,
+        # -0.0, nan, inf and both ends of the float range included, also at
+        # the end of a lattice row and where a lattice row longer than
+        # CSV_BLOCK_ROWS is split (4100 x 2: 4101 nodes and 4100 cells a row)
         from roughlub.geometry import ScenarioConfig, build_fields
-        extremes = [5e-324, 1.7976931348623157e308, -5e-324]
-        for nx, ny in ((5, 3), (70, 60)):
+        extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308,
+                    np.nan, np.inf]
+        lines_per_write = []
+        real_open = Path.open
+
+        class SpyFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                lines_per_write.append(len(text.splitlines()))
+                return self.fh.write(text)
+
+        def spy_open(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return SpyFile(fh) if mode.startswith("w") else fh
+
+        monkeypatch.setattr(Path, "open", spy_open)
+        for nx, ny in ((9, 3), (70, 60), (4100, 2)):
             grid, fields = build_fields(ScenarioConfig(nx=nx, ny=ny))
             p = np.linspace(-1.0, 1.0, grid.n_nodes)
-            p[:4] = [-0.0, 0.0, np.nan, -np.inf]
-            p[-3:] = extremes
-            h1 = fields.h1_bar.copy()
+            p[:2] = [-0.0, 0.0]
+            a, h1 = fields.a.copy(), fields.h1_bar.copy()
             h1[:2] = [-0.0, 0.0]
-            h1[-3:] = extremes
-            fields = type(fields)(n_psi=fields.n_psi, a=fields.a, b=fields.b, h1_bar=h1)
-            if grid.n_nodes > cli.CSV_BLOCK_ROWS:
-                p[cli.CSV_BLOCK_ROWS - 1:cli.CSV_BLOCK_ROWS + 2] = extremes
-                fields.a[cli.CSV_BLOCK_ROWS - 1:cli.CSV_BLOCK_ROWS + 2] = extremes
+            # at the end of the first lattice row, and across the split of the last
+            for column, width in ((p, nx + 1), (a, nx), (h1, nx)):
+                column[width - len(extremes):width] = extremes
+                if width > cli.CSV_BLOCK_ROWS:
+                    split = column.size - width + cli.CSV_BLOCK_ROWS
+                    column[split - 3:split + 3] = extremes
+            fields = type(fields)(n_psi=fields.n_psi, a=a, b=fields.b, h1_bar=h1)
             cli._write_pressure_csv(tmp_path / "p.csv", grid, p)
             cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
             x, y = grid.node_coords()
@@ -279,10 +305,12 @@ class TestSolve:
             assert (tmp_path / "f.csv").read_text() == "\n".join(expected) + "\n"
             rows = (tmp_path / "p.csv").read_text().splitlines()
             assert rows[2] == "0,0,-0" and rows[3].endswith(",0,0")
-            assert rows[-1] == "1,1,-4.9406564584124654e-324"
+            assert rows[2 + nx] == "1,0,inf" and rows[1 + nx].endswith(",0,nan")
             rows = (tmp_path / "f.csv").read_text().splitlines()
             assert rows[1].endswith(",-0") and rows[2].endswith(",0")
-            assert rows[-2].endswith(",1.7976931348623157e+308")
+            assert rows[nx].endswith(",inf")
+        # no write holds more than CSV_BLOCK_ROWS rows, and the long rows split
+        assert max(lines_per_write) == cli.CSV_BLOCK_ROWS
 
     def test_fig2_preset_uses_reference_data(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -611,6 +639,27 @@ class TestCompare:
             assert len(built) == 1
             assert ((tmp_path / scenario / "pressure.csv").read_bytes()
                     == (tmp_path / "cmp" / name).read_bytes())
+
+    def test_files_match_per_value_formatting(self, capsys, tmp_path):
+        # every number of the three pressure files reads as f"{v:.17g}", and
+        # difference.csv holds rough minus smooth, on an odd 97 x 31 grid
+        from roughlub.geometry import RoughnessSpec, ScenarioConfig, build_fields
+        from roughlub.solver import solve_fields
+        out_dir = tmp_path / "out"
+        assert run(capsys, "compare", "--scenario", "fig3", "--nx", "97", "--ny", "31",
+                   "--out", str(out_dir))[0] == 0
+        config = ScenarioConfig(nx=97, ny=31,
+                                roughness=RoughnessSpec(cli.PRESET_REGIONS["fig3"]))
+        grid, fields = build_fields(config)
+        _, smooth_fields = build_fields(ScenarioConfig(nx=97, ny=31))
+        smooth, rough = solve_fields(config, grid, smooth_fields, fields)
+        x, y = grid.node_coords()
+        for name, header, values in (("pressure_smooth.csv", "x,y,p", smooth.p),
+                                     ("pressure_rough.csv", "x,y,p", rough.p),
+                                     ("difference.csv", "x,y,dp", rough.p - smooth.p)):
+            expected = ["# nx=97 ny=31", header] + [
+                f"{xi:.17g},{yi:.17g},{v:.17g}" for xi, yi, v in zip(x, y, values)]
+            assert (out_dir / name).read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_no_rough_region_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"
