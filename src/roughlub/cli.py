@@ -27,7 +27,7 @@ import numpy as np
 from . import postprocess
 from .coefficients import N_MAX, coefficients
 from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion,
-                       ScenarioConfig, build_fields, load_config)
+                       ScenarioConfig, build_fields, evaluate_gap, load_config)
 from .solver import ConvergenceError, PressureSolution, solve_fields
 
 EXIT_OK = 0
@@ -142,6 +142,13 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
         f"gap.kind={config.gap.kind}",
         f"gap.c0={_fmt(config.gap.c0)}",
         f"gap.c1={_fmt(config.gap.c1)}",
+    ]
+    if config.gap.kind == "tabulated":
+        import hashlib  # here, so that importing the CLI does not load it
+        table = config.gap.table  # its little-endian float64 bytes identify it
+        digest = hashlib.sha256(table.astype("<f8").tobytes()).hexdigest()
+        lines.append(f"gap.table={table.shape[0]}x{table.shape[1]},sha256={digest}")
+    lines += [
         f"velocity.ubx={_fmt(config.u_b[0])}",
         f"velocity.uby={_fmt(config.u_b[1])}",
         f"inlet.flux={_fmt(config.q_e)}",
@@ -205,12 +212,10 @@ def cmd_velocity(args) -> int:
             raise ConfigError(f"{flag} must be inside (0, 1), got {value}")
     grid, fields = build_fields(config)
     solution, = solve_fields(config, grid, fields)
-    grad_p = postprocess.gradient_at(solution, grid, args.x, args.y)
-    cx, cy = grid.cell_at(args.x, args.y)
-    cell = cy * grid.nx + cx
+    # the gap and intensity at the point itself, not at its cell's barycenter
     profile = postprocess.velocity_profile(
-        fields.h1_bar[cell], fields.n_psi[cell], grad_p, config.u_b,
-        z_count=args.nz)
+        evaluate_gap(config.gap, args.x, args.y), config.roughness.intensity_at(args.x, args.y),
+        postprocess.gradient_at(solution, grid, args.x, args.y), config.u_b, z_count=args.nz)
     for z, (ux, uy) in zip(profile.z, profile.u):
         print(f"{_fmt(z)},{_fmt(ux)},{_fmt(uy)}")
     return EXIT_OK

@@ -275,22 +275,21 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
     levels = _hierarchy(system, transfers)
     x = np.zeros(b.size)
     r = b.copy()
-    z = _vcycle(levels, r)
-    d = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    residual = 1.0
-    for k in range(1, MAX_ITER + 1):
+    d = None  # no direction yet: CG starts, or restarts, from d = z
+    for iterations in range(1, MAX_ITER + 1):
+        z = _vcycle(levels, r)
+        rz_next = float(r @ z)
+        d = z if d is None else z + (rz_next / rz) * d
+        rz = rz_next
         ad = m @ d
         alpha = rz / float(d @ ad)
         x += alpha * d
         r -= alpha * ad
-        iterations = k
         r_norm = float(np.linalg.norm(r))
         if not math.isfinite(r_norm):
             residual = math.nan  # no later iterate is finite either
             break
-        if r_norm <= tol * b_norm:
+        if r_norm <= tol * b_norm or iterations == MAX_ITER:
             # recurrence residual can drift; confirm with the true residual
             true_r = b - m @ x
             residual = float(np.linalg.norm(true_r) / b_norm)
@@ -298,16 +297,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
                 break
             # restart from the true residual: the old direction and r.z belong to
             # the drifted recurrence residual, and keeping them makes it grow
-            r = true_r
-            z = _vcycle(levels, r)
-            d, rz = z, float(r @ z)
-            continue
-        z = _vcycle(levels, r)
-        rz_next = float(r @ z)
-        d = z + (rz_next / rz) * d
-        rz = rz_next
-    else:
-        residual = float(np.linalg.norm(b - m @ x) / b_norm)
+            r, d = true_r, None
     if not residual <= tol:  # a nan residual fails too
         raise ConvergenceError(
             f"CG did not converge in {iterations} iterations "
@@ -322,16 +312,12 @@ def solve_fields(config: ScenarioConfig, grid: Grid,
                  *fields: CoefficientFields) -> tuple[PressureSolution, ...]:
     """Assembly -> linear solve of each of `fields` on the grid built for `config`.
 
-    The solves share one set of multigrid transfers, built after the first
-    assembly so that its temporaries are gone by then.
+    The solves share one set of multigrid transfers.
     """
-    solutions, transfers = [], None
-    for cell_data in fields:
-        system = assemble(grid, cell_data, config.u_b, config.q_e)
-        if transfers is None:
-            transfers = _transfers(grid)
-        solutions.append(solve_linear(system, tol=config.tol, transfers=transfers))
-    return tuple(solutions)
+    transfers = _transfers(grid)
+    return tuple(solve_linear(assemble(grid, cell_data, config.u_b, config.q_e),
+                              tol=config.tol, transfers=transfers)
+                 for cell_data in fields)
 
 
 def solve_reynolds(config: ScenarioConfig) -> PressureSolution:

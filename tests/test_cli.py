@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -247,6 +248,27 @@ class TestSolve:
         assert levels == sorted(levels, reverse=True)
         assert int(manifest["iterations"]) >= 1
 
+    def test_manifest_identifies_a_tabulated_gap(self, capsys, tmp_path):
+        # tables that differ in one entry differ in their gap.table line; the
+        # same table read from another path has the same line
+        tables = {"a": "1,1,1\n.5,.5,.5\n", "b": "2,1,1\n.5,.5,.5\n",
+                  "a_again": "1.0,1,1\n0.5,.5,.5\n"}
+        lines = {}
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            config = tmp_path / f"{name}.cfg"
+            config.write_text("grid.nx = 8\ngrid.ny = 8\ngap.kind = tabulated\n"
+                              f"gap.table_path = {tmp_path / name}.csv\n")
+            out_dir = tmp_path / name
+            assert run(capsys, "solve", "--config", str(config), "--out", str(out_dir))[0] == 0
+            lines[name] = [line for line in (out_dir / "manifest.txt").read_text().splitlines()
+                           if line.startswith("gap.table=")]
+        digest = hashlib.sha256(np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.5]], dtype="<f8")
+                                .tobytes()).hexdigest()
+        assert lines["a"] == [f"gap.table=2x3,sha256={digest}"]
+        assert lines["b"] != lines["a"] and len(lines["b"]) == 1
+        assert lines["a_again"] == lines["a"]
+
     def test_csv_writers_match_per_value_formatting(self, tmp_path, monkeypatch):
         # the writers put each lattice row's values into a template of its x
         # texts with one % call, and format the fields.csv tail once per
@@ -323,6 +345,7 @@ class TestSolve:
         assert "velocity.ubx=1\nvelocity.uby=0\n" in manifest
         assert "inlet.flux=0.5" in manifest
         assert "rough.regions=0" in manifest
+        assert "gap.table=" not in manifest  # only a tabulated gap has a table
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         outputs = []
@@ -506,7 +529,7 @@ class TestVelocity:
         assert rows[-1] == [1.0, 0.0, 0.0]  # Z=1 is the resting top surface
 
     def test_smooth_profile_matches_analytic_form(self, capsys, tmp_path):
-        from roughlub.geometry import ScenarioConfig, build_fields, load_config
+        from roughlub.geometry import build_fields, evaluate_gap, load_config
         from roughlub.postprocess import gradient_at
         from roughlub.solver import solve_reynolds
 
@@ -522,15 +545,14 @@ class TestVelocity:
         grid, fields = build_fields(config)
         solution = solve_reynolds(config)
         grad_p = gradient_at(solution, grid, 0.25, 0.5)
-        cell = 8 * 16 + 4  # barycenter cell containing (0.25, 0.5)
-        h1 = fields.h1_bar[cell]
+        h1 = float(evaluate_gap(config.gap, 0.25, 0.5))
         z = rows[:, 0]
         expected = 0.5 * h1 * h1 * (z * z - z) * grad_p[0] + (1.0 - z) * 1.0
         assert np.abs(rows[:, 1] - expected).max() <= 1e-10
         assert np.abs(rows[:, 2] - 0.5 * h1 * h1 * (z * z - z) * grad_p[1]).max() <= 1e-10
 
     def test_large_intensity_profile_is_bounded(self, capsys, tmp_path):
-        from roughlub.geometry import build_fields, load_config
+        from roughlub.geometry import build_fields, evaluate_gap, load_config
         from roughlub.postprocess import gradient_at
         from roughlub.solver import solve_reynolds
 
@@ -547,9 +569,40 @@ class TestVelocity:
         config = load_config(doc)
         grid, fields = build_fields(config)
         grad_p = gradient_at(solve_reynolds(config), grid, 0.25, 0.5)
-        h1 = fields.h1_bar[8 * 16 + 4]
+        h1 = float(evaluate_gap(config.gap, 0.25, 0.5))
         bound = np.linalg.norm(config.u_b) + h1 * h1 * np.linalg.norm(grad_p)
         assert np.linalg.norm(rows[:, 1:], axis=1).max() <= bound
+
+    def test_profile_uses_the_point_not_its_cell(self, capsys, tmp_path):
+        # (0.452, 0.5) lies in the fig5 strip [0.45, 0.55], but the barycenter
+        # of its 64x64 cell (x = 0.4453) does not: the profile must be the
+        # N = 2 one with the point's gap, so its flux is the coefficients' one
+        from roughlub.geometry import build_fields, evaluate_gap, load_config
+        from roughlub.postprocess import flux_from_coefficients, gradient_at
+        from roughlub.solver import solve_reynolds
+
+        doc = "grid.nx = 64\ngrid.ny = 64\nrough.region.1 = 0.45,0,0.55,1,n=2\n"
+        config_path = tmp_path / "scenario.cfg"
+        config_path.write_text(doc)
+        code, out, _ = run(capsys, "velocity", "--config", str(config_path),
+                           "--x", "0.452", "--y", "0.5", "--nz", "256")
+        assert code == 0
+        rows = np.array([list(map(float, line.split(",")))
+                         for line in out.splitlines()])
+
+        config = load_config(doc)
+        grid, fields = build_fields(config)
+        cx, cy = grid.cell_at(0.452, 0.5)
+        assert fields.n_psi[cy * grid.nx + cx] == 0.0  # the barycenter is smooth
+        h1 = float(evaluate_gap(config.gap, 0.452, 0.5))
+        n = config.roughness.intensity_at(0.452, 0.5)
+        assert n == 2.0
+        u = rows[:, 1:]
+        simpson = (u[0] + u[-1] + 4.0 * u[1:-1:2].sum(axis=0)
+                   + 2.0 * u[2:-1:2].sum(axis=0)) / (3.0 * (rows.shape[0] - 1))
+        expected = flux_from_coefficients(
+            h1, n, gradient_at(solve_reynolds(config), grid, 0.452, 0.5), config.u_b)
+        assert np.abs(h1 * simpson - expected).max() <= 1e-7 * np.abs(expected).max()
 
     def test_boundary_point_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"

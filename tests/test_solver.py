@@ -156,6 +156,15 @@ class TestSolveLinear:
         residual = float(re.search(r"relative residual (\S+)", str(failure.value))[1])
         assert residual <= 2e-12
 
+    def test_restart_then_converges(self):
+        # 100x4 with natural y sides: at iteration 9 the recurrence residual
+        # reads 6.6e-13 but the true one 1.017e-12, so CG restarts from the
+        # true residual once and stops at iteration 10 at 3.4e-13
+        _, system = assembled(ScenarioConfig(nx=100, ny=4, y_sides_natural=True))
+        solution = solve_linear(system, tol=1e-12)
+        assert solution.residual <= 1e-12
+        assert residual_check(system, solution) <= 1e-12
+
     def test_deterministic(self):
         config = ScenarioConfig(nx=24, ny=24)
         a = solve_reynolds(config)
