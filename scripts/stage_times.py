@@ -25,8 +25,9 @@ and scipy versions), `repeats` and `cases`; each case holds `case`,
 `command`, `nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear,
 pressure_csv, fields_csv), `command_s`, `cg_iterations` and `levels`; the
 `pointwise` case holds `n_count` and `per_call_s`, the median time of one
-call in each part of the split.  `--case NAME` with one `--tree` prints that
-one case as JSON instead.
+call in each part of the split.  Every case also holds `peak_rss_mb`, the
+peak resident memory of its child interpreter (`ru_maxrss`) after the case.
+`--case NAME` with one `--tree` prints that one case as JSON instead.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -170,7 +172,9 @@ def main() -> None:
             parser.error("--case takes exactly one --tree")
         (src,) = trees.values()
         sys.path.insert(0, src)
-        print(json.dumps(measure(args.case, args.repeats)))
+        case = measure(args.case, args.repeats)
+        case["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(case))
         return
     if args.out is None:
         parser.error("--out is required")

@@ -93,43 +93,75 @@ def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     return text, key
 
 
-def _write_lattice(path: Path, header: str, x: np.ndarray, y: np.ndarray,
-                   cell: str, rows) -> None:
-    """Write `header`, then the line `x,y,v` for every point of the lattice
-    `x` by `y` in row-major order; `rows` yields one list of the values v per
-    entry of `y`, and `cell` is their `%` conversion.
-
-    Every number reads as `_fmt` writes it (`%.17g` is the same conversion).
-    The x texts are formatted once, into one template per CSV_BLOCK_ROWS
-    points of a lattice row, so each write is one template with the y text
-    put in by `bytes.replace` and the values by one `%` call.  The file is
-    written as ASCII bytes, so no text layer encodes it again.
-    """
-    points = [f"{_fmt(v)},\0,{cell}\n" for v in x.tolist()]
-    templates = [(start, "".join(points[start:start + CSV_BLOCK_ROWS]).encode())
-                 for start in range(0, len(points), CSV_BLOCK_ROWS)]
-    with path.open("wb") as fh:
-        fh.write(header.encode())
-        for yv, row in zip(y.tolist(), rows):
-            yt = _fmt(yv).encode()
-            for start, template in templates:
-                fh.write(template.replace(b"\0", yt)
-                         % tuple(row[start:start + CSV_BLOCK_ROWS]))
-
-
 def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
                         value_name: str = "p") -> None:
+    """Write the line `x,y,p` for every node in row-major order.
+
+    Each block of CSV_BLOCK_ROWS lines is assembled in one uint8 array of
+    fixed-width, NUL-padded slots: the x text and the y text (each converted
+    once per lattice column or row), the value, all three from `_g17.g17`,
+    and the newline.  The NUL bytes are deleted and the block is one write of
+    ASCII bytes.  Every number reads as `_fmt` writes it.
+    """
+    from . import _g17  # here, so that commands that write no node file do not load it
+    m = grid.nx + 1  # nodes per lattice row
     x, y = grid.node_coords()
-    _write_lattice(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
-                   x[:grid.nx + 1], y[::grid.nx + 1], "%.17g",
-                   (row.tolist() for row in p.reshape(grid.ny + 1, grid.nx + 1)))
+    w = _g17.WIDTH + 1  # a slot and its comma or newline
+    ends = np.empty((m + grid.ny + 1, w), np.uint8)  # the x texts, then the y texts
+    _g17.g17(np.concatenate((x[:m], y[::m])), ends[:, :-1])
+    ends[:, -1] = ord(",")
+    lines = np.empty((min(p.size, CSV_BLOCK_ROWS), 3 * w), np.uint8)
+    lines[:, -1] = ord("\n")
+    with path.open("wb") as fh:
+        fh.write(f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n".encode())
+        for start in range(0, p.size, CSV_BLOCK_ROWS):
+            block = lines[:min(p.size - start, CSV_BLOCK_ROWS)]
+            node = np.arange(start, start + len(block))
+            row = node // m
+            block[:, :w] = ends[node - row * m]
+            block[:, w:2 * w] = ends[m + row]
+            _g17.g17(p[start:start + len(block)], block[:, 2 * w:-1])
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
+    """Write the line `x,y,n_psi,a,b,h1` for every cell in row-major order.
+
+    The x texts are formatted once, into one template per CSV_BLOCK_ROWS
+    cells of a lattice row, with a NUL byte for the y text.  A lattice row
+    whose four columns differ in some bit from the row before it fills the
+    templates with its distinct tails (`_distinct_rows`) by one `%` call each;
+    a repeated row reuses those bytes.  The y text is put in by
+    `bytes.replace`, and consecutive lattice rows are joined into writes of
+    at most CSV_BLOCK_ROWS lines.
+    """
     x, y = grid.cell_barycenters()
-    text, index = _distinct_rows((fields.n_psi, fields.a, fields.b, fields.h1_bar))
-    _write_lattice(path, "x,y,n_psi,a,b,h1\n", x[:grid.nx], y[::grid.nx], "%s",
-                   (text[row].tolist() for row in index.reshape(grid.ny, grid.nx)))
+    nx = grid.nx
+    columns = [c.reshape(grid.ny, nx) for c in (fields.n_psi, fields.a, fields.b, fields.h1_bar)]
+    # the first lattice row, and each that differs in some bit from the one before
+    changed = [(b[1:] != b[:-1]).any(axis=1) for b in (c.view(np.int64) for c in columns)]
+    fresh = np.concatenate(([True], np.any(changed, axis=0)))
+    text, index = _distinct_rows([c[fresh].ravel() for c in columns])
+    points = [f"{_fmt(v)},\0,%s\n".encode() for v in x[:nx].tolist()]
+    templates = [(start, b"".join(points[start:start + CSV_BLOCK_ROWS]))
+                 for start in range(0, nx, CSV_BLOCK_ROWS)]
+    rows = iter(index.reshape(-1, nx))
+    parts, size = [], 0
+    with path.open("wb") as fh:
+        fh.write(b"x,y,n_psi,a,b,h1\n")
+        for yv, new in zip(y[::nx].tolist(), fresh.tolist()):
+            if new:
+                row = text[next(rows)].tolist()
+                chunks = [(template % tuple(row[start:start + CSV_BLOCK_ROWS]),
+                           min(nx - start, CSV_BLOCK_ROWS)) for start, template in templates]
+            yt = _fmt(yv).encode()
+            for chunk, lines in chunks:
+                if size + lines > CSV_BLOCK_ROWS:
+                    fh.write(b"".join(parts))
+                    parts, size = [], 0
+                parts.append(chunk.replace(b"\0", yt))
+                size += lines
+        fh.write(b"".join(parts))
 
 
 def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
@@ -140,9 +172,9 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
         f"nx={config.nx}",
         f"ny={config.ny}",
         f"gap.kind={config.gap.kind}",
-        f"gap.c0={_fmt(config.gap.c0)}",
-        f"gap.c1={_fmt(config.gap.c1)}",
     ]
+    reads = {"quadratic_channel": ("c0", "c1"), "constant": ("c0",), "tabulated": ()}
+    lines += [f"gap.{key}={_fmt(getattr(config.gap, key))}" for key in reads[config.gap.kind]]
     if config.gap.kind == "tabulated":
         import hashlib  # here, so that importing the CLI does not load it
         table = config.gap.table  # its little-endian float64 bytes identify it

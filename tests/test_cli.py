@@ -20,6 +20,43 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def lines_per_write(monkeypatch):
+    """The number of lines in each write to a file that `Path.open` opened
+    for writing, in order."""
+    lines = []
+    real_open = Path.open
+
+    class SpyFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            lines.append(len(text.splitlines()))
+            return self.fh.write(text)
+
+    def spy_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return SpyFile(fh) if mode.startswith("w") else fh
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    return lines
+
+
+def expected_fields_csv(grid, fields) -> str:
+    """fields.csv with every number formatted in place."""
+    bx, by = grid.cell_barycenters()
+    rows = zip(bx, by, fields.n_psi, fields.a, fields.b, fields.h1_bar)
+    return "\n".join(["x,y,n_psi,a,b,h1"] + [",".join(f"{v:.17g}" for v in row)
+                                              for row in rows]) + "\n"
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports roughlub from this source tree."""
     src = str(Path(roughlub.__file__).resolve().parents[1])
@@ -269,38 +306,16 @@ class TestSolve:
         assert lines["b"] != lines["a"] and len(lines["b"]) == 1
         assert lines["a_again"] == lines["a"]
 
-    def test_csv_writers_match_per_value_formatting(self, tmp_path, monkeypatch):
-        # the writers put each lattice row's values into a template of its x
-        # texts with one % call, and format the fields.csv tail once per
-        # distinct row; the bytes must equal formatting every value in place,
+    def test_csv_writers_match_per_value_formatting(self, tmp_path, lines_per_write):
+        # pressure.csv converts its values in numpy (_g17), and fields.csv
+        # formats its tail once per distinct row and reuses repeated rows;
+        # the bytes must equal formatting every value in place,
         # -0.0, nan, inf and both ends of the float range included, also at
         # the end of a lattice row and where a lattice row longer than
         # CSV_BLOCK_ROWS is split (4100 x 2: 4101 nodes and 4100 cells a row)
         from roughlub.geometry import ScenarioConfig, build_fields
         extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308,
                     np.nan, np.inf]
-        lines_per_write = []
-        real_open = Path.open
-
-        class SpyFile:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                lines_per_write.append(len(text.splitlines()))
-                return self.fh.write(text)
-
-        def spy_open(self, mode="r", *args, **kwargs):
-            fh = real_open(self, mode, *args, **kwargs)
-            return SpyFile(fh) if mode.startswith("w") else fh
-
-        monkeypatch.setattr(Path, "open", spy_open)
         for nx, ny in ((9, 3), (70, 60), (4100, 2)):
             grid, fields = build_fields(ScenarioConfig(nx=nx, ny=ny))
             p = np.linspace(-1.0, 1.0, grid.n_nodes)
@@ -333,6 +348,76 @@ class TestSolve:
             assert rows[nx].endswith(",inf")
         # no write holds more than CSV_BLOCK_ROWS rows, and the long rows split
         assert max(lines_per_write) == cli.CSV_BLOCK_ROWS
+
+    def test_pressure_csv_writes_every_layout(self, tmp_path):
+        # values below 1e-4 and from 1e17 up are written as d.ddde+XX, the rest
+        # in fixed notation; a tie in the 18th digit and values outside
+        # [1e-280, 1e280) take Python's own conversion
+        from roughlub.geometry import ScenarioConfig, build_fields
+        grid, _ = build_fields(ScenarioConfig(nx=9, ny=4))
+        rng = np.random.default_rng(5)
+        dp = rng.normal(size=grid.n_nodes) * 10.0 ** rng.integers(-8, 20, grid.n_nodes)
+        dp[:9] = [3.2e-7, -1.5e-5, 1e17, -2.5e20, 1000000000000000.25, -1e-300, 1e300,
+                  0.00012, 12345678901234567.0]
+        cli._write_pressure_csv(tmp_path / "d.csv", grid, dp, value_name="dp")
+        x, y = grid.node_coords()
+        expected = ["# nx=9 ny=4", "x,y,dp"] + [
+            f"{xi:.17g},{yi:.17g},{v:.17g}" for xi, yi, v in zip(x, y, dp)]
+        text = (tmp_path / "d.csv").read_text()
+        assert text == "\n".join(expected) + "\n"
+        assert ",3.2000000000000001e-07\n" in text and ",1e+17\n" in text
+        assert ",1000000000000000.2\n" in text and ",-1e-300\n" in text
+
+    def test_fields_csv_reuses_repeated_rows_without_stale_text(self, tmp_path):
+        # a tabulated gap flat in y below y = 1/4 and above y = 1/2: lattice
+        # rows 0-3 repeat, 4-7 change, 8-15 repeat; a rough rectangle over
+        # rows 6-11 changes n_psi, a and b inside the second run of repeats,
+        # and -0.0 in one cell of row 13 makes rows 13 and 14 differ in bits
+        # though they compare equal as floats
+        from roughlub.geometry import build_fields, load_config
+        table = tmp_path / "gap.csv"
+        table.write_text("1,1,1\n1,1,1\n2,2,2\n2,2,2\n2,2,2\n")
+        grid, fields = build_fields(load_config(
+            f"grid.nx = 5\ngrid.ny = 16\ngap.kind = tabulated\ngap.table_path = {table}\n"
+            "rough.region.1 = 0.2,0.375,0.6,0.75,n=3\n"))
+        n_psi = fields.n_psi.copy()
+        n_psi[13 * 5 + 4] = -0.0
+        fields = type(fields)(n_psi=n_psi, a=fields.a, b=fields.b, h1_bar=fields.h1_bar)
+        cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
+        text = (tmp_path / "f.csv").read_text()
+        assert text == expected_fields_csv(grid, fields)
+        rows = text.splitlines()
+        assert rows[1 + 13 * 5 + 4].split(",")[2] == "-0"
+        assert rows[1 + 14 * 5 + 4].split(",")[2] == "0"
+
+    def test_fields_csv_of_short_rows_is_one_write(self, tmp_path, lines_per_write):
+        # 7 x 300: 2100 lines under a gap that rises in y, so that no lattice
+        # row repeats; the header is one write and the rows one more
+        from roughlub.geometry import build_fields, load_config
+        table = tmp_path / "gap.csv"
+        table.write_text("1,1\n3,3\n")
+        grid, fields = build_fields(load_config(
+            f"grid.nx = 7\ngrid.ny = 300\ngap.kind = tabulated\ngap.table_path = {table}\n"))
+        lines_per_write.clear()  # the table file
+        cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
+        assert lines_per_write == [1, 2100]
+        assert (tmp_path / "f.csv").read_text() == expected_fields_csv(grid, fields)
+
+    def test_manifest_lists_the_gap_keys_its_kind_reads(self, capsys, tmp_path):
+        (tmp_path / "gap.csv").write_text("1,1,1\n.5,.5,.5\n")
+        kinds = {
+            "quadratic_channel": ("", ["gap.kind=quadratic_channel", "gap.c0=1", "gap.c1=0.5"]),
+            "constant": ("gap.kind = constant\ngap.c0 = 2\n", ["gap.kind=constant", "gap.c0=2"]),
+            "tabulated": (f"gap.kind = tabulated\ngap.table_path = {tmp_path / 'gap.csv'}\n",
+                          ["gap.kind=tabulated", "gap.table=2x3"]),
+        }
+        for kind, (doc, expected) in kinds.items():
+            config = tmp_path / f"{kind}.cfg"
+            config.write_text("grid.nx = 8\ngrid.ny = 8\n" + doc)
+            out_dir = tmp_path / kind
+            assert run(capsys, "solve", "--config", str(config), "--out", str(out_dir))[0] == 0
+            lines = (out_dir / "manifest.txt").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines if line.startswith("gap.")] == expected
 
     def test_fig2_preset_uses_reference_data(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
