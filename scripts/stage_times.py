@@ -9,7 +9,10 @@ Times `build_fields`, `assemble`, `solve_linear`, the `pressure.csv` write,
 the `fields.csv` write and one whole CLI run, each as the median over
 `--repeats` calls after one warm-up call.  Cases: a 96x64 design with two
 rough rectangles (stages of its rough run; the CLI run is `compare`) and the
-`fig3` preset at nx = ny in SIZES (the CLI run is `solve`).  CG iterations
+`fig3` preset at nx = ny in SIZES (the CLI run is `solve`), and
+`fields-random-256`, a 256x256 `solve` over a tabulated gap of heights drawn
+uniformly from [1, 2] at the 257x257 table nodes (seed RANDOM_SEED), so that
+every cell of `fields.csv` differs from its neighbours.  CG iterations
 and multigrid level sizes come from the timed `solve_linear`.  A last case,
 `pointwise`, times the per-point layers alone: `coefficients(n)` and
 `velocity_profile(..., z_count=256)` over POINTWISE_N, a fixed log-uniform
@@ -48,10 +51,11 @@ from pathlib import Path
 
 SCHEMA = "roughlub-stage-times/1"
 SIZES = (64, 128, 250, 256, 512)
-CASES = ("design-96x64", *(f"fig3-{n}" for n in SIZES), "pointwise")
+CASES = ("design-96x64", *(f"fig3-{n}" for n in SIZES), "fields-random-256", "pointwise")
 DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
           "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"
           "rough.region.2 = 0.625,0.125,0.875,0.5,n=20\n")
+RANDOM_SEED = 18
 POINTWISE_N = [1e-3 * 7e5 ** (k / 63) for k in range(64)]  # log-uniform on [1e-3, 700]
 
 
@@ -126,11 +130,18 @@ def measure(case: str, repeats: int) -> dict:
         return measure_pointwise(repeats)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if case == "design-96x64":
-            design = tmp / "design.cfg"
-            design.write_text(DESIGN, encoding="utf-8")
-            return measure_case(case, load_config(DESIGN),
-                                ["compare", "--config", str(design)], repeats, tmp)
+        if case in ("design-96x64", "fields-random-256"):
+            doc, command = DESIGN, "compare"
+            if case == "fields-random-256":
+                import numpy as np
+
+                heights = np.random.default_rng(RANDOM_SEED).uniform(1.0, 2.0, (257, 257))
+                np.savetxt(tmp / "gap.csv", heights, fmt="%.17g", delimiter=",")
+                doc, command = ("grid.nx = 256\ngrid.ny = 256\ngap.kind = tabulated\n"
+                                f"gap.table_path = {tmp / 'gap.csv'}\n"), "solve"
+            (tmp / "case.cfg").write_text(doc, encoding="utf-8")
+            return measure_case(case, load_config(doc),
+                                [command, "--config", str(tmp / "case.cfg")], repeats, tmp)
         n = int(case.removeprefix("fig3-"))
         config = dataclasses.replace(ScenarioConfig(), nx=n, ny=n,
                                      roughness=RoughnessSpec(cli.PRESET_REGIONS["fig3"]))

@@ -1,4 +1,5 @@
-"""`'%.17g' % v` for a whole float64 array at once, as NUL-padded ASCII slots.
+"""`'%.17g' % v` for a whole float64 array at once, as NUL-padded ASCII slots,
+and the CSV writer of node and cell lattices that is built on them.
 
 The 17 significant digits of a finite v != 0 are the integer
 D = round(|v| * 10**(16 - X)) in [1e16, 1e17), where X is the decimal
@@ -136,3 +137,65 @@ def g17(values: np.ndarray, out: np.ndarray) -> None:
     out[r, 19:] = _tables()[5][k[r] + _S_MAX]  # r: the rows of x = 17
     for i in np.flatnonzero(exact).tolist():
         out[i] = np.frombuffer((b"%.17g" % values[i]).ljust(WIDTH, b"\0"), np.uint8)
+
+
+def write_csv(path, header: str, x: np.ndarray, y: np.ndarray, columns, block: int) -> None:
+    """Write `header`, then the line `x,y,c1,...,ck` for every point of a
+    lattice in row-major order: `x` holds the x of one lattice row, `y` one y
+    per lattice row, and each of the k float64 `columns` is (len(y), len(x)).
+
+    Each lattice row whose columns differ in some bit from the row before it
+    (and the first row) is converted by `g17`, whole rows at a time and at
+    most `block` lines per call, into NUL-padded slots that hold the byte 1
+    for the y text; the NULs are deleted.  Every lattice row is written as
+    the bytes of the last converted row with its own y text put in by
+    `bytes.replace`, and no write holds more than `block` lines: short rows
+    share a write, and a longer row is split.
+    """
+    m, k, w = len(x), len(columns), WIDTH + 1  # w: a slot and its comma or newline
+    # few and short, so Python converts them faster than one more g17 call
+    x_slots = np.array([b"%.17g," % v for v in x.tolist()], f"S{w}").view(np.uint8).reshape(m, w)
+    y_texts = [b"%.17g" % v for v in y.tolist()]
+    fresh = np.ones(len(y), bool)
+    fresh[1:] = np.any([(b[1:] != b[:-1]).any(axis=1)
+                        for b in (c.view(np.int64) for c in columns)], axis=0)
+    new = np.flatnonzero(fresh)
+    part, per = min(m, block), max(block // m, 1)  # per call: lines of a row, rows
+    # a line: the x slot, the y byte and its comma, and one slot per column
+    lines = np.empty((min(per, new.size) * part, w * (k + 1) + 2), np.uint8)
+    lines[:, w:w + 2] = 1, ord(",")
+    values = lines[:, w + 2:].reshape(len(lines), k, w)  # the column slots
+    values[:, :, -1] = ord(",")
+    lines[:, -1] = ord("\n")
+    digits = np.empty((k * len(lines), WIDTH), np.uint8)  # g17's slots, column by column
+
+    def converted():
+        """The (bytes, line count) chunks of each converted row, in order."""
+        for first in range(0, new.size, per):
+            rows = new[first:first + per]
+            chunks = [[] for _ in rows]
+            for start in range(0, m, part):
+                span = min(part, m - start)
+                n = rows.size * span
+                lines[:n].reshape(rows.size, span, -1)[:, :, :w] = x_slots[start:start + span]
+                g17(np.concatenate([c[rows, start:start + span].ravel() for c in columns]),
+                    digits[:k * n])
+                values[:n, :, :-1] = digits[:k * n].reshape(k, n, WIDTH).transpose(1, 0, 2)
+                for chunk, row in zip(chunks, lines[:n].reshape(rows.size, -1)):
+                    chunk.append((row.tobytes().translate(None, b"\0"), span))
+            yield from chunks
+
+    fresh_rows = converted()
+    text, size = bytearray(), 0
+    with path.open("wb") as fh:
+        fh.write(header.encode())
+        for y_text, is_new in zip(y_texts, fresh.tolist()):
+            if is_new:
+                chunks = next(fresh_rows)
+            for chunk, count in chunks:
+                if size + count > block:
+                    fh.write(text)
+                    text, size = bytearray(), 0
+                text += chunk.replace(b"\1", y_text)
+                size += count
+        fh.write(text)

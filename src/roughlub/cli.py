@@ -69,99 +69,22 @@ def _load_scenario(config_path: str | None, scenario: str | None,
     return dataclasses.replace(config, **replace) if replace else config
 
 
-def _distinct_text(values) -> tuple[np.ndarray, np.ndarray]:
-    """Texts (ASCII bytes) of the distinct bit patterns in `values` (so -0.0
-    keeps its own text), each formatted once, and every entry's index into
-    them."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    text = np.array([_fmt(v).encode() for v in bits.view(np.float64).tolist()], dtype=object)
-    return text, inverse
-
-
-def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the equal-length float arrays `columns` as
-    comma-joined texts, each number formatted once (`_distinct_text`), and
-    every row's index into them."""
-    text, key = _distinct_text(columns[0])
-    for column in columns[1:]:
-        tail, index = _distinct_text(column)
-        # dense again after each column, so the combined key stays below
-        # len(column)**2 and cannot overflow, whatever the columns hold
-        pairs, key = np.unique(key * tail.size + index, return_inverse=True)
-        text = text[pairs // tail.size] + b"," + tail[pairs % tail.size]
-    return text, key
-
-
 def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
                         value_name: str = "p") -> None:
-    """Write the line `x,y,p` for every node in row-major order.
-
-    Each block of CSV_BLOCK_ROWS lines is assembled in one uint8 array of
-    fixed-width, NUL-padded slots: the x text and the y text (each converted
-    once per lattice column or row), the value, all three from `_g17.g17`,
-    and the newline.  The NUL bytes are deleted and the block is one write of
-    ASCII bytes.  Every number reads as `_fmt` writes it.
-    """
-    from . import _g17  # here, so that commands that write no node file do not load it
-    m = grid.nx + 1  # nodes per lattice row
-    x, y = grid.node_coords()
-    w = _g17.WIDTH + 1  # a slot and its comma or newline
-    ends = np.empty((m + grid.ny + 1, w), np.uint8)  # the x texts, then the y texts
-    _g17.g17(np.concatenate((x[:m], y[::m])), ends[:, :-1])
-    ends[:, -1] = ord(",")
-    lines = np.empty((min(p.size, CSV_BLOCK_ROWS), 3 * w), np.uint8)
-    lines[:, -1] = ord("\n")
-    with path.open("wb") as fh:
-        fh.write(f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n".encode())
-        for start in range(0, p.size, CSV_BLOCK_ROWS):
-            block = lines[:min(p.size - start, CSV_BLOCK_ROWS)]
-            node = np.arange(start, start + len(block))
-            row = node // m
-            block[:, :w] = ends[node - row * m]
-            block[:, w:2 * w] = ends[m + row]
-            _g17.g17(p[start:start + len(block)], block[:, 2 * w:-1])
-            fh.write(block.tobytes().translate(None, b"\0"))
+    """Write the line `x,y,p` for every node in row-major order."""
+    from . import _g17  # here, so that commands that write no CSV do not load it
+    _g17.write_csv(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
+                   np.arange(grid.nx + 1) / grid.nx, np.arange(grid.ny + 1) / grid.ny,
+                   [p.reshape(grid.ny + 1, grid.nx + 1)], CSV_BLOCK_ROWS)
 
 
 def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
-    """Write the line `x,y,n_psi,a,b,h1` for every cell in row-major order.
-
-    The x texts are formatted once, into one template per CSV_BLOCK_ROWS
-    cells of a lattice row, with a NUL byte for the y text.  A lattice row
-    whose four columns differ in some bit from the row before it fills the
-    templates with its distinct tails (`_distinct_rows`) by one `%` call each;
-    a repeated row reuses those bytes.  The y text is put in by
-    `bytes.replace`, and consecutive lattice rows are joined into writes of
-    at most CSV_BLOCK_ROWS lines.
-    """
-    x, y = grid.cell_barycenters()
-    nx = grid.nx
-    columns = [c.reshape(grid.ny, nx) for c in (fields.n_psi, fields.a, fields.b, fields.h1_bar)]
-    # the first lattice row, and each that differs in some bit from the one before
-    changed = [(b[1:] != b[:-1]).any(axis=1) for b in (c.view(np.int64) for c in columns)]
-    fresh = np.concatenate(([True], np.any(changed, axis=0)))
-    text, index = _distinct_rows([c[fresh].ravel() for c in columns])
-    points = [f"{_fmt(v)},\0,%s\n".encode() for v in x[:nx].tolist()]
-    templates = [(start, b"".join(points[start:start + CSV_BLOCK_ROWS]))
-                 for start in range(0, nx, CSV_BLOCK_ROWS)]
-    rows = iter(index.reshape(-1, nx))
-    parts, size = [], 0
-    with path.open("wb") as fh:
-        fh.write(b"x,y,n_psi,a,b,h1\n")
-        for yv, new in zip(y[::nx].tolist(), fresh.tolist()):
-            if new:
-                row = text[next(rows)].tolist()
-                chunks = [(template % tuple(row[start:start + CSV_BLOCK_ROWS]),
-                           min(nx - start, CSV_BLOCK_ROWS)) for start, template in templates]
-            yt = _fmt(yv).encode()
-            for chunk, lines in chunks:
-                if size + lines > CSV_BLOCK_ROWS:
-                    fh.write(b"".join(parts))
-                    parts, size = [], 0
-                parts.append(chunk.replace(b"\0", yt))
-                size += lines
-        fh.write(b"".join(parts))
+    """Write the line `x,y,n_psi,a,b,h1` for every cell in row-major order."""
+    from . import _g17
+    _g17.write_csv(path, "x,y,n_psi,a,b,h1\n", (np.arange(grid.nx) + 0.5) / grid.nx,
+                   (np.arange(grid.ny) + 0.5) / grid.ny,
+                   [c.reshape(grid.ny, grid.nx) for c in
+                    (fields.n_psi, fields.a, fields.b, fields.h1_bar)], CSV_BLOCK_ROWS)
 
 
 def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
@@ -203,11 +126,7 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
 def _output_dir(path: str) -> Path:
     """Create the output directory (and parents) if needed."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path!r}: "
-                          f"{exc.strerror or exc}") from None
+    out.mkdir(parents=True, exist_ok=True)  # an OSError exits 2, naming the path
     return out
 
 
@@ -329,6 +248,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a config file it cannot read, an output file it cannot write
+        where = f"cannot use {exc.filename!r}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

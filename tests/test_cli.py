@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import subprocess
@@ -89,7 +90,9 @@ def test_startup_does_not_import_scipy_special():
     assert result.stdout.strip() == "False"
 
 
-SCIPY_LOADED = "\nimport sys\nprint([m for m in sys.modules if m.startswith('scipy')])\n"
+# and the CSV kernel, which only the CSV writers load
+SCIPY_LOADED = ("\nimport sys\nprint([m for m in sys.modules\n"
+                "       if m.startswith('scipy') or m == 'roughlub._g17'])\n")
 
 
 @pytest.mark.parametrize("code", [
@@ -307,9 +310,9 @@ class TestSolve:
         assert lines["a_again"] == lines["a"]
 
     def test_csv_writers_match_per_value_formatting(self, tmp_path, lines_per_write):
-        # pressure.csv converts its values in numpy (_g17), and fields.csv
-        # formats its tail once per distinct row and reuses repeated rows;
-        # the bytes must equal formatting every value in place,
+        # both files convert their values in numpy (_g17) and reuse the bytes
+        # of a repeated lattice row; the bytes must equal formatting every
+        # value in place,
         # -0.0, nan, inf and both ends of the float range included, also at
         # the end of a lattice row and where a lattice row longer than
         # CSV_BLOCK_ROWS is split (4100 x 2: 4101 nodes and 4100 cells a row)
@@ -346,6 +349,17 @@ class TestSolve:
             rows = (tmp_path / "f.csv").read_text().splitlines()
             assert rows[1].endswith(",-0") and rows[2].endswith(",0")
             assert rows[nx].endswith(",inf")
+        # a fields.csv whose every cell differs: a tabulated gap of random
+        # heights under a rough rectangle, so that no lattice row repeats
+        from roughlub.geometry import load_config
+        table = tmp_path / "gap.csv"
+        np.savetxt(table, np.random.default_rng(18).uniform(0.5, 3.0, (9, 12)), delimiter=",")
+        grid, fields = build_fields(load_config(
+            f"grid.nx = 31\ngrid.ny = 23\ngap.kind = tabulated\ngap.table_path = {table}\n"
+            "rough.region.1 = 0.2,0.3,0.7,0.6,n=3\n"))
+        assert np.unique(fields.h1_bar).size == fields.h1_bar.size
+        cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
+        assert (tmp_path / "f.csv").read_text() == expected_fields_csv(grid, fields)
         # no write holds more than CSV_BLOCK_ROWS rows, and the long rows split
         assert max(lines_per_write) == cli.CSV_BLOCK_ROWS
 
@@ -451,6 +465,21 @@ class TestSolve:
         assert code == 2
         assert err == "error: either --config or --scenario is required\n"
         assert not (tmp_path / "out").exists()
+
+    def test_unreadable_config_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the read fails as it does for a file without read permission;
+        # chmod cannot take that permission away from root
+        config = tmp_path / "locked.cfg"
+        config.write_text(SMOOTH_DOC)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, _, err = run(capsys, "solve", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: cannot use {str(config)!r}: Permission denied\n"
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -589,16 +618,25 @@ class TestSolve:
         assert np.abs(p - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("below", ["", "sub", "node-file", "last-file"])
     def test_unusable_output_path_exits_2(self, capsys, tmp_path, command, below):
-        blocker = tmp_path / "taken"
-        blocker.write_text("a regular file\n")
-        out = blocker / below if below else blocker
+        # --out is a regular file or lies below one, or a file the command
+        # writes into it is a directory: a node CSV file, or the last file
+        files = {"solve": ("pressure.csv", "manifest.txt"),
+                 "compare": ("difference.csv", "metrics.txt")}[command]
+        if below.endswith("-file"):
+            out = tmp_path / "out"
+            named = out / files[below == "last-file"]
+            named.mkdir(parents=True)
+        else:
+            blocker = tmp_path / "taken"
+            blocker.write_text("a regular file\n")
+            named = out = blocker / below if below else blocker
         code, _, err = run(capsys, command, "--scenario", "fig3", "--nx", "8",
                            "--ny", "8", "--out", str(out))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
-        assert str(out) in err
+        assert str(named) in err
 
 
 class TestVelocity:
