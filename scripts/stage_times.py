@@ -5,10 +5,16 @@
     python scripts/stage_times.py --tree parent=/path/to/parent/src --tree change=src \
         --out BENCH.json
 
-Times `build_fields`, `assemble`, `solve_linear`, the `pressure.csv` write,
-the `fields.csv` write and one whole CLI run, each as the median over
-`--repeats` calls after one warm-up call.  Cases: a 96x64 design with two
-rough rectangles (stages of its rough run; the CLI run is `compare`) and the
+Times `build_fields`, `assemble`, a cold build of the grid's multigrid
+transfers (`transfers`: the solver's transfer slot is emptied, untimed,
+before each call), `solve_linear` (the transfers of its grid already built,
+where the solver keeps them), the `pressure.csv` write, the `fields.csv`
+write (each timed write to a new file; the last one is deleted untimed) and
+one whole CLI run, each as the median over `--repeats` calls after one
+warm-up call, and the same CLI command in a fresh interpreter
+(`python -m roughlub.cli`, the tree's directory on PYTHONPATH).  Cases: a
+96x64 design with two rough rectangles (stages of its rough run; the CLI
+run is `compare`) and the
 `fig3` preset at nx = ny in SIZES (the CLI run is `solve`), and
 `fields-random-256`, a 256x256 `solve` over a tabulated gap of heights drawn
 uniformly from [1, 2] at the 257x257 table nodes (seed RANDOM_SEED), so that
@@ -25,8 +31,9 @@ falls on all trees alike.  The output is JSON: `schema`, then `runs`, keyed
 by label; a run already in the file under another label is kept, one under
 the same label is replaced.  Each run holds `machine` (nproc, Python, numpy
 and scipy versions), `repeats` and `cases`; each case holds `case`,
-`command`, `nx`, `ny`, `stages_s` (build_fields, assemble, solve_linear,
-pressure_csv, fields_csv), `command_s`, `cg_iterations` and `levels`; the
+`command`, `nx`, `ny`, `stages_s` (build_fields, assemble, transfers,
+solve_linear, pressure_csv, fields_csv), `command_s`, `process_s` (the
+fresh-interpreter run), `cg_iterations` and `levels`; the
 `pointwise` case holds `n_count` and `per_call_s`, the median time of one
 call in each part of the split.  Every case also holds `peak_rss_mb`, the
 peak resident memory of its child interpreter (`ru_maxrss`) after the case.
@@ -59,44 +66,74 @@ RANDOM_SEED = 18
 POINTWISE_N = [1e-3 * 7e5 ** (k / 63) for k in range(64)]  # log-uniform on [1e-3, 700]
 
 
-def median_time(call, repeats: int) -> float:
-    call()  # warm-up: lazy imports and first-touch allocations
+def median_time(call, repeats: int, prepare=lambda k: ()) -> float:
+    """Median time of call(*prepare(k)) for k = 1..repeats, after the warm-up
+    k = 0 (lazy imports, first-touch allocations); `prepare` is not timed."""
     times = []
-    for _ in range(repeats):
+    for k in range(repeats + 1):
+        args = prepare(k)
         start = time.perf_counter()
-        call()
+        call(*args)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times[1:])
+
+
+def new_file(tmp: Path, stem: str):
+    """A `prepare` that deletes the last call's file and names a new one, so
+    that no timed write truncates an old output."""
+    def prepare(k: int) -> tuple[Path]:
+        (tmp / f"{stem}{k - 1}.csv").unlink(missing_ok=True)
+        return (tmp / f"{stem}{k}.csv",)
+    return prepare
 
 
 def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) -> dict:
-    from roughlub import cli
+    from roughlub import cli, solver
     from roughlub.geometry import build_fields
     from roughlub.solver import assemble, solve_linear
 
     grid, fields = build_fields(config)
     system = assemble(grid, fields, config.u_b, config.q_e)
     solution = solve_linear(system, config.tol)
+
+    def empty_slot(k: int) -> tuple:
+        solver._slot = ()  # a tree that builds transfers on every call has no slot to empty
+        return ()
+
     stages = {
-        "build_fields": lambda: build_fields(config),
-        "assemble": lambda: assemble(grid, fields, config.u_b, config.q_e),
-        "solve_linear": lambda: solve_linear(system, config.tol),
-        "pressure_csv": lambda: cli._write_pressure_csv(tmp / "p.csv", grid, solution.p),
-        "fields_csv": lambda: cli._write_fields_csv(tmp / "f.csv", grid, fields),
+        "build_fields": (lambda: build_fields(config),),
+        "assemble": (lambda: assemble(grid, fields, config.u_b, config.q_e),),
+        "transfers": (lambda: solver._transfers(grid), empty_slot),
+        "solve_linear": (lambda: solve_linear(system, config.tol),),
+        "pressure_csv": (lambda path: cli._write_pressure_csv(path, grid, solution.p),
+                         new_file(tmp, "p")),
+        "fields_csv": (lambda path: cli._write_fields_csv(path, grid, fields),
+                       new_file(tmp, "f")),
     }
+    argv = argv + ["--out", str(tmp / "out")]
 
     def run_cli():
         with contextlib.redirect_stdout(io.StringIO()):
-            if cli.main(argv + ["--out", str(tmp / "out")]) != 0:
+            if cli.main(argv) != 0:
                 raise RuntimeError(f"roughlub {' '.join(argv)} failed")
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run_process():
+        subprocess.run([sys.executable, "-m", "roughlub.cli", *argv], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
 
     return {
         "case": name,
         "command": argv[0],
         "nx": config.nx,
         "ny": config.ny,
-        "stages_s": {stage: median_time(call, repeats) for stage, call in stages.items()},
+        "stages_s": {stage: median_time(call, repeats, *prepare)
+                     for stage, (call, *prepare) in stages.items()},
         "command_s": median_time(run_cli, repeats),
+        "process_s": median_time(run_process, repeats),
         "cg_iterations": solution.iterations,
         "levels": list(solution.levels),
     }

@@ -33,9 +33,12 @@ while it has at least 4 cells and at least half as many as the other side;
 on a stretched grid the short side waits (semi-coarsening).  Every grid
 thus coarsens down to the dense level, and the iteration count stays
 bounded under refinement and on stretched and odd grids.  The interpolation
-and restriction matrices depend on the grid alone: `_transfers(grid)` builds
-them, `solve_fields` once for all the solves on one grid, and each solve
-builds only its coarse operators and the dense coarsest inverse on them.
+and restriction matrices depend on the grid alone, so `_transfers(grid)`
+caches them per process in one slot: solves on the grid of the last solve
+reuse them, and each solve builds only its coarse operators and the dense
+coarsest inverse on them.  Between solves the slot holds about 77 bytes per
+cell (0.44 MiB at 96x64, 4.8 MiB at 256x256, 78 MiB at 1024x1024); a solve on
+another grid releases it before building that grid's transfers.
 
 ``scipy.sparse`` is imported inside the functions that build matrices, on
 the first assembly: importing it costs about 0.3 s, which `import roughlub`,
@@ -46,6 +49,7 @@ without ever solving.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -189,7 +193,22 @@ def _interpolation_1d(n: int, coarse: int, flip: bool, free: slice) -> sp.csr_ma
                          shape=(keep.shape[0], stop - first))
 
 
+_slot_lock = threading.Lock()
+_slot: tuple = ()  # (grid, its transfers) of the last grid solved on, or empty
+
+
 def _transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+    """The `_build_transfers(grid)` of the last grid asked for, kept in one
+    slot; another grid empties the slot before its own transfers are built."""
+    global _slot
+    with _slot_lock:
+        if not _slot or _slot[0] != grid:
+            _slot = ()
+            _slot = (grid, _build_transfers(grid))
+        return _slot[1]
+
+
+def _build_transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
     """(restrict, prolong) from each multigrid level to the next coarser one.
 
     P = kron(P_y, P_x) on the free-node lattice: the slices of
@@ -214,13 +233,12 @@ def _transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
     return tuple(transfers)
 
 
-def _hierarchy(system: LinearSystem,
-               transfers: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]) -> tuple[_Level, ...]:
+def _hierarchy(system: LinearSystem) -> tuple[_Level, ...]:
     """Galerkin levels A_c = P^T A P on the free-node lattice, finest first,
     for the `_transfers(system.grid)`; the coarsest level is inverted densely."""
     a = system.matrix
     levels = []
-    for restrict, prolong in transfers:
+    for restrict, prolong in _transfers(system.grid):
         levels.append(_Level(a, OMEGA / a.diagonal(), restrict, prolong))
         a = (restrict @ a @ prolong).tocsr()
     inverse = np.linalg.inv(a.toarray())
@@ -246,14 +264,11 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
 # Data near the float range overflows in the norms and products of CG; that
 # shows as a non-finite residual, reported as one ConvergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_linear(system: LinearSystem, tol: float = 1e-10,
-                 transfers: tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...] | None = None,
-                 ) -> PressureSolution:
+def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     """Multigrid-preconditioned CG down to a true relative residual <= tol.
 
     The preconditioner is one symmetric V-cycle of the Galerkin hierarchy on
-    `transfers`, which are built here from `_transfers(system.grid)` when not
-    given; CG stops after MAX_ITER iterations.
+    `_transfers(system.grid)`; CG stops after MAX_ITER iterations.
     A zero right-hand side short-circuits to the zero solution.  The result
     is deterministic for fixed inputs (fixed operation order).
     """
@@ -270,9 +285,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10,
     b = np.ldexp(system.rhs, shift)
     b_norm = float(np.linalg.norm(b))
 
-    if transfers is None:
-        transfers = _transfers(system.grid)
-    levels = _hierarchy(system, transfers)
+    levels = _hierarchy(system)
     x = np.zeros(b.size)
     r = b.copy()
     d = None  # no direction yet: CG starts, or restarts, from d = z
@@ -312,11 +325,9 @@ def solve_fields(config: ScenarioConfig, grid: Grid,
                  *fields: CoefficientFields) -> tuple[PressureSolution, ...]:
     """Assembly -> linear solve of each of `fields` on the grid built for `config`.
 
-    The solves share one set of multigrid transfers.
+    The solves share one set of multigrid transfers (`_transfers`).
     """
-    transfers = _transfers(grid)
-    return tuple(solve_linear(assemble(grid, cell_data, config.u_b, config.q_e),
-                              tol=config.tol, transfers=transfers)
+    return tuple(solve_linear(assemble(grid, cell_data, config.u_b, config.q_e), config.tol)
                  for cell_data in fields)
 
 

@@ -79,6 +79,34 @@ def test_module_entry_point_prints_usage():
     assert result.stdout.startswith("usage: roughlub")
 
 
+
+def test_parser_built_once_and_reused(capsys):
+    # one parser per process; a parse leaves nothing behind for the next one
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    velocity = ["velocity", "--config", "c.cfg", "--x", "0.5", "--y", "0.5"]
+    assert parser.parse_args(velocity + ["--nz", "8"]).nz == 8
+    assert parser.parse_args(velocity).nz == 64
+    argvs = (["--help"], ["solve", "--help"], [], ["solve", "--bogus", "1"],
+             ["coeffs"], ["coeffs", "--n", "x"], ["coeffs", "--n", "2"])
+
+    def outcomes():
+        seen = []
+        for argv in argvs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help exits through argparse
+                code = ("exit", exc.code)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    first = outcomes()
+    assert first == outcomes()
+    assert [code for code, _, _ in first] == [("exit", 0), ("exit", 0), 2, 2, 2, 2, 0]
+    assert first[0][1].startswith("usage: roughlub")
+    assert all(err.startswith("error: ") and err.count("\n") == 1
+               for code, _, err in first if code == 2)
+
 def test_startup_does_not_import_scipy_special():
     # importing scipy.special costs tens of milliseconds per process; only
     # intensities above 10 need it
@@ -787,34 +815,43 @@ class TestCompare:
             assert len(lines) == 2 + 17 * 9
 
     def test_two_solves_share_one_set_of_transfers(self, capsys, tmp_path, monkeypatch):
-        # compare builds the multigrid transfers once, for both of its solves,
-        # and each pressure file equals the one a separate solve writes
+        # in one process, a compare and then two solves on its grid build the
+        # multigrid transfers once; every file equals the one written after the
+        # transfer slot is emptied (a cold build), and each solve's pressure
+        # file equals the compare's file of the same roughness
         from roughlub import solver
-        built, used = [], []
-        real_transfers, real_solve = solver._transfers, solver.solve_linear
+        built = []
+        real_build = solver._build_transfers
 
-        def spy_transfers(grid):
-            built.append(real_transfers(grid))
-            return built[-1]
+        def spy_build(grid):
+            built.append(grid)
+            return real_build(grid)
 
-        def spy_solve(system, tol, transfers):
-            used.append(transfers)
-            return real_solve(system, tol, transfers)
-
-        monkeypatch.setattr(solver, "_transfers", spy_transfers)
-        monkeypatch.setattr(solver, "solve_linear", spy_solve)
+        monkeypatch.setattr(solver, "_build_transfers", spy_build)
+        monkeypatch.setattr(solver, "_slot", ())
         grid = ["--nx", "97", "--ny", "31"]
-        assert run(capsys, "compare", "--scenario", "fig3", *grid,
-                   "--out", str(tmp_path / "cmp"))[0] == 0
-        assert len(built) == 1 and len(used) == 2
-        assert all(transfers is built[0] for transfers in used)
+        runs = {"cmp": ("compare", "fig3"), "fig2": ("solve", "fig2"),
+                "fig3": ("solve", "fig3")}
+
+        def files(out):
+            return {path.name: path.read_bytes() if path.name != "manifest.txt" else
+                    [line for line in path.read_bytes().splitlines()
+                     if not line.startswith(b"wall_time_s=")]
+                    for path in sorted(out.iterdir())}
+
+        for name, (command, scenario) in runs.items():
+            assert run(capsys, command, "--scenario", scenario, *grid,
+                       "--out", str(tmp_path / "warm" / name))[0] == 0
+        assert len(built) == 1
+        for name, (command, scenario) in runs.items():
+            monkeypatch.setattr(solver, "_slot", ())
+            assert run(capsys, command, "--scenario", scenario, *grid,
+                       "--out", str(tmp_path / "cold" / name))[0] == 0
+            assert files(tmp_path / "warm" / name) == files(tmp_path / "cold" / name)
+        assert len(built) == 1 + len(runs)
         for scenario, name in (("fig2", "pressure_smooth.csv"), ("fig3", "pressure_rough.csv")):
-            built.clear()
-            assert run(capsys, "solve", "--scenario", scenario, *grid,
-                       "--out", str(tmp_path / scenario))[0] == 0
-            assert len(built) == 1
-            assert ((tmp_path / scenario / "pressure.csv").read_bytes()
-                    == (tmp_path / "cmp" / name).read_bytes())
+            assert ((tmp_path / "warm" / scenario / "pressure.csv").read_bytes()
+                    == (tmp_path / "warm" / "cmp" / name).read_bytes())
 
     def test_files_match_per_value_formatting(self, capsys, tmp_path):
         # every number of the three pressure files reads as f"{v:.17g}", and

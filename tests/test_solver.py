@@ -206,7 +206,7 @@ class TestMultigrid:
     def test_any_grid_preconditioned_and_converges(self, nx, ny, natural):
         config = ScenarioConfig(nx=nx, ny=ny, roughness=FIG3, y_sides_natural=natural)
         _, system = assembled(config)
-        levels = solver._hierarchy(system, solver._transfers(system.grid))
+        levels = solver._hierarchy(system)
         assert levels[-1].matrix.shape[0] <= solver.COARSEST
         rng = np.random.default_rng(nx * 1000 + ny)
         assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
@@ -278,7 +278,7 @@ class TestMultigrid:
     @pytest.mark.parametrize("nx, ny", [(64, 64), (96, 64), (13, 7), (97, 64)])
     def test_preconditioner_symmetric(self, nx, ny):
         _, system = assembled(ScenarioConfig(nx=nx, ny=ny, roughness=FIG3))
-        levels = solver._hierarchy(system, solver._transfers(system.grid))
+        levels = solver._hierarchy(system)
         rng = np.random.default_rng(7)
         assert_symmetric(levels, *rng.standard_normal((2, system.rhs.size)))
 
@@ -320,6 +320,82 @@ class TestMultigrid:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestTransferSlot:
+    # grid A, then grids that differ from it in one of nx, ny, y_sides_natural
+    GRIDS = (ScenarioConfig(nx=40, ny=24, roughness=FIG3),
+             ScenarioConfig(nx=40, ny=24, roughness=FIG3, y_sides_natural=True),
+             ScenarioConfig(nx=33, ny=24, roughness=FIG3),
+             ScenarioConfig(nx=40, ny=17, roughness=FIG3))
+
+    @staticmethod
+    def cold_solve(config, monkeypatch):
+        monkeypatch.setattr(solver, "_slot", ())
+        return solve_reynolds(config)
+
+    def test_grids_in_turn_match_cold_solves(self, monkeypatch):
+        # A, B, A, C, A, D, A: no solve reuses another grid's transfers, and
+        # each equals a cold solve
+        a, b, c, d = self.GRIDS
+        cold = {config: self.cold_solve(config, monkeypatch) for config in self.GRIDS}
+        monkeypatch.setattr(solver, "_slot", ())
+        for config in (a, b, a, c, a, d, a):
+            solution = solve_reynolds(config)
+            assert np.array_equal(solution.p, cold[config].p)
+            assert solution.iterations == cold[config].iterations
+
+    def test_concurrent_solves_on_other_grids_match_cold_solves(self, monkeypatch):
+        # four threads, one per grid, with frequent thread switches: a solve
+        # that used another grid's transfers would fail on their shape or
+        # differ from a cold solve
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        cold = {config: self.cold_solve(config, monkeypatch).p for config in self.GRIDS}
+        start = threading.Barrier(len(self.GRIDS), timeout=60)
+
+        def solve_many(config):
+            start.wait()
+            return [solve_reynolds(config).p for _ in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(self.GRIDS)) as pool:
+                futures = [pool.submit(solve_many, config) for config in self.GRIDS]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for config, pressures in zip(self.GRIDS, results):
+            assert len(pressures) == 6
+            assert all(np.array_equal(p, cold[config]) for p in pressures)
+
+    def test_slot_released_before_the_next_grid_is_built(self, monkeypatch):
+        # grid A's finest prolongation is gone, without the cyclic collector,
+        # before the first interpolation matrix of grid B is allocated
+        grid_a, _ = build_fields(self.GRIDS[0])
+        grid_b, _ = build_fields(self.GRIDS[2])
+        monkeypatch.setattr(solver, "_slot", ())
+        ref = weakref.ref(solver._transfers(grid_a)[0][1])
+        assert solver._transfers(grid_a)[0][1] is ref()  # a hit returns the held pair
+        alive = []
+        interpolation = solver._interpolation_1d
+
+        def spy(*args):
+            alive.append(ref() is not None)
+            return interpolation(*args)
+
+        monkeypatch.setattr(solver, "_interpolation_1d", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver._transfers(grid_b)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive and not any(alive)
 
 
 class TestResidualCheck:
