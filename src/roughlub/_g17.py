@@ -28,6 +28,7 @@ WIDTH = 24  # bytes of a slot: the longest text is '-2.2250738585072014e-308'
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 _LOG10_2 = 0.30102999566398120
 _S_MAX = 300  # the table holds 10**s for |s| <= _S_MAX
+BLOCK_ROWS = 4096  # most lines per write_csv write, and per g17 call in it
 
 
 @functools.cache
@@ -139,17 +140,17 @@ def g17(values: np.ndarray, out: np.ndarray) -> None:
         out[i] = np.frombuffer((b"%.17g" % values[i]).ljust(WIDTH, b"\0"), np.uint8)
 
 
-def write_csv(path, header: str, x: np.ndarray, y: np.ndarray, columns, block: int) -> None:
+def write_csv(path, header: str, x: np.ndarray, y: np.ndarray, columns) -> None:
     """Write `header`, then the line `x,y,c1,...,ck` for every point of a
     lattice in row-major order: `x` holds the x of one lattice row, `y` one y
     per lattice row, and each of the k float64 `columns` is (len(y), len(x)).
 
     Each lattice row whose columns differ in some bit from the row before it
     (and the first row) is converted by `g17`, whole rows at a time and at
-    most `block` lines per call, into NUL-padded slots that hold the byte 1
+    most BLOCK_ROWS lines per call, into NUL-padded slots that hold the byte 1
     for the y text; the NULs are deleted.  Every lattice row is written as
     the bytes of the last converted row with its own y text put in by
-    `bytes.replace`, and no write holds more than `block` lines: short rows
+    `bytes.replace`, and no write holds more than BLOCK_ROWS lines: short rows
     share a write, and a longer row is split.
     """
     m, k, w = len(x), len(columns), WIDTH + 1  # w: a slot and its comma or newline
@@ -160,7 +161,7 @@ def write_csv(path, header: str, x: np.ndarray, y: np.ndarray, columns, block: i
     fresh[1:] = np.any([(b[1:] != b[:-1]).any(axis=1)
                         for b in (c.view(np.int64) for c in columns)], axis=0)
     new = np.flatnonzero(fresh)
-    part, per = min(m, block), max(block // m, 1)  # per call: lines of a row, rows
+    part, per = min(m, BLOCK_ROWS), max(BLOCK_ROWS // m, 1)  # per call: lines of a row, rows
     # a line: the x slot, the y byte and its comma, and one slot per column
     lines = np.empty((min(per, new.size) * part, w * (k + 1) + 2), np.uint8)
     lines[:, w:w + 2] = 1, ord(",")
@@ -193,7 +194,7 @@ def write_csv(path, header: str, x: np.ndarray, y: np.ndarray, columns, block: i
             if is_new:
                 chunks = next(fresh_rows)
             for chunk, count in chunks:
-                if size + count > block:
+                if size + count > BLOCK_ROWS:
                     fh.write(text)
                     text, size = bytearray(), 0
                 text += chunk.replace(b"\1", y_text)

@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
-CSV_BLOCK_ROWS = 4096  # rows per write of a CSV file
-
 PRESET_REGIONS = {
     "fig2": (),
     "fig3": (RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),),
@@ -76,7 +74,7 @@ def _write_pressure_csv(path: Path, grid: Grid, p: np.ndarray,
     from . import _g17  # here, so that commands that write no CSV do not load it
     _g17.write_csv(path, f"# nx={grid.nx} ny={grid.ny}\nx,y,{value_name}\n",
                    np.arange(grid.nx + 1) / grid.nx, np.arange(grid.ny + 1) / grid.ny,
-                   [p.reshape(grid.ny + 1, grid.nx + 1)], CSV_BLOCK_ROWS)
+                   [p.reshape(grid.ny + 1, grid.nx + 1)])
 
 
 def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
@@ -85,7 +83,7 @@ def _write_fields_csv(path: Path, grid: Grid, fields) -> None:
     _g17.write_csv(path, "x,y,n_psi,a,b,h1\n", (np.arange(grid.nx) + 0.5) / grid.nx,
                    (np.arange(grid.ny) + 0.5) / grid.ny,
                    [c.reshape(grid.ny, grid.nx) for c in
-                    (fields.n_psi, fields.a, fields.b, fields.h1_bar)], CSV_BLOCK_ROWS)
+                    (fields.n_psi, fields.a, fields.b, fields.h1_bar)])
 
 
 def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,

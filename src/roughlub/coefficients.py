@@ -82,7 +82,8 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class CoefficientPair(NamedTuple):
-    """Poiseuille correction ``a`` and Couette correction ``b`` at one point."""
+    """Poiseuille correction ``a`` and Couette correction ``b``: floats at one
+    point, or arrays from ``coefficient_arrays``."""
 
     a: float
     b: float
@@ -156,6 +157,17 @@ def coefficients(n: float) -> CoefficientPair:
     bracket = 1.0 - float(erfcx(r)) - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / d
     return CoefficientPair(12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0),
                            em / n / (math.exp(0.5 * n) * d / r))  # I1 = e^{n/2} d / r
+
+
+def coefficient_arrays(n) -> CoefficientPair:
+    """A and B at every intensity of the array `n`, one `coefficients` call per
+    distinct value."""
+    n = np.asarray(n, dtype=float)
+    a, b = np.empty_like(n), np.empty_like(n)
+    for value in np.unique(n):
+        sel = n == value
+        a[sel], b[sel] = coefficients(value)
+    return CoefficientPair(a, b)
 
 
 def poiseuille_coeff(n: float) -> float:

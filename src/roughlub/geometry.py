@@ -12,11 +12,12 @@ smeared by averaging.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import N_MAX, coefficients, cosine_roughness_intensity
+from .coefficients import N_MAX, coefficient_arrays, cosine_roughness_intensity
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
 MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve needs about 300 bytes per cell
@@ -254,10 +255,14 @@ class ScenarioConfig:
 
 
 def _read_table(path: str) -> np.ndarray:
-    # np.loadtxt would fetch a path that looks like a URL; a handle is a file
+    # np.loadtxt would fetch a path that looks like a URL; a handle is a file.
+    # It warns, instead of raising, on a file without data rows.
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
             return np.loadtxt(f, delimiter=",", ndmin=2)
+    except UserWarning:
+        raise ValueError(f"cannot read {path!r}: no data rows") from None
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
 
@@ -384,12 +389,5 @@ def build_fields(config: ScenarioConfig) -> tuple[Grid, CoefficientFields]:
     bx, by = grid.cell_barycenters()
     n_psi = config.roughness.intensity_at(bx, by)
     h1_bar = np.asarray(evaluate_gap(config.gap, bx, by))
-
-    a = np.empty_like(n_psi)
-    b = np.empty_like(n_psi)
-    for value in np.unique(n_psi):
-        pair = coefficients(value)
-        sel = n_psi == value
-        a[sel] = pair.a
-        b[sel] = pair.b
+    a, b = coefficient_arrays(n_psi)
     return grid, CoefficientFields(n_psi=n_psi, a=a, b=b, h1_bar=h1_bar)

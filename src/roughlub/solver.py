@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coefficients import coefficients
+from .coefficients import coefficient_arrays
 from .geometry import (CoefficientFields, GapProfile, Grid, RoughnessSpec,
                        ScenarioConfig, build_fields, evaluate_gap)
 
@@ -345,9 +345,10 @@ def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,
 
         p(x) = - int_x^1 12 (q_e + h(s) B(s) u_bx) / (h(s)^3 A(s)) ds.
 
-    The integral is evaluated by composite Simpson with >= 2^14 panels per
-    smooth piece; rough-region edges become panel boundaries so the
-    discontinuous coefficients never straddle a panel.
+    The pieces between neighbouring samples and rough-region edges are each
+    integrated once, by composite Simpson with about 2^14 panels in all, so
+    the discontinuous coefficients never straddle a panel; p(x_i) is minus
+    the sum of the pieces to the right of x_i.
     """
     if gap.kind == "tabulated" and not np.allclose(
             gap.table, gap.table[0], rtol=0.0, atol=0.0):
@@ -359,36 +360,19 @@ def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    breaks = {0.0, 1.0}
-    for r in roughness.regions:
-        breaks.update((r.x0, r.x1))
-    breaks = np.array(sorted(b for b in breaks if 0.0 <= b <= 1.0))
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        h = np.asarray(evaluate_gap(gap, s, np.full_like(s, 0.5)))
-        n = roughness.intensity_at(s, np.full_like(s, 0.5))
-        a = np.empty_like(h)
-        b = np.empty_like(h)
-        for value in np.unique(n):
-            sel = n == value
-            a[sel], b[sel] = coefficients(value)
-        return 12.0 * (q_e + h * b * u_bx) / (h**3 * a)
-
-    def simpson(lo: float, hi: float, panels: int = 2**14) -> float:
-        if hi - lo <= 0.0:
-            return 0.0
-        s = np.linspace(lo, hi, 2 * panels + 1)
-        # nudge the end samples off the piece boundary so a coefficient jump
-        # shared with the neighbouring piece is sampled on the correct side
-        s[0] += 1e-13
-        s[-1] -= 1e-13
-        y = integrand(s)
-        h = (hi - lo) / (2 * panels)
-        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum()))
-
     x = np.linspace(0.0, 1.0, samples)
-    p = np.zeros(samples)
-    for i, xi in enumerate(x):
-        cuts = np.unique(np.concatenate(([xi], breaks[breaks > xi])))
-        p[i] = -sum(simpson(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    return x, p
+    cuts = np.unique(np.concatenate([x] + [(r.x0, r.x1) for r in roughness.regions]))
+    width = np.diff(cuts)
+    panels = max(1, 2**14 // width.size)  # per piece
+    s = cuts[:-1, None] + width[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
+    # nudge the end samples off the piece boundary so a coefficient jump
+    # shared with the neighbouring piece is sampled on the correct side
+    s[:, 0] += 1e-13
+    s[:, -1] = cuts[1:] - 1e-13
+    h = evaluate_gap(gap, s, np.full_like(s, 0.5))
+    a, b = coefficient_arrays(roughness.intensity_at(s, np.full_like(s, 0.5)))
+    y = 12.0 * (q_e + h * b * u_bx) / (h**3 * a)
+    pieces = width / (6 * panels) * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1::2].sum(1)
+                                     + 2.0 * y[:, 2:-1:2].sum(1))
+    right = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)  # integral over [cuts[j], 1]
+    return x, -right[np.searchsorted(cuts, x)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import roughlub
-from roughlub import cli
+from roughlub import _g17, cli
 
 SMOOTH_DOC = "grid.nx = 16\ngrid.ny = 16\n"
 ROUGH_DOC = SMOOTH_DOC + "rough.region.1 = 0.5,0,1,1,n=2\n"
@@ -343,7 +343,7 @@ class TestSolve:
         # value in place,
         # -0.0, nan, inf and both ends of the float range included, also at
         # the end of a lattice row and where a lattice row longer than
-        # CSV_BLOCK_ROWS is split (4100 x 2: 4101 nodes and 4100 cells a row)
+        # _g17.BLOCK_ROWS is split (4100 x 2: 4101 nodes and 4100 cells a row)
         from roughlub.geometry import ScenarioConfig, build_fields
         extremes = [-0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308,
                     np.nan, np.inf]
@@ -356,8 +356,8 @@ class TestSolve:
             # at the end of the first lattice row, and across the split of the last
             for column, width in ((p, nx + 1), (a, nx), (h1, nx)):
                 column[width - len(extremes):width] = extremes
-                if width > cli.CSV_BLOCK_ROWS:
-                    split = column.size - width + cli.CSV_BLOCK_ROWS
+                if width > _g17.BLOCK_ROWS:
+                    split = column.size - width + _g17.BLOCK_ROWS
                     column[split - 3:split + 3] = extremes
             fields = type(fields)(n_psi=fields.n_psi, a=a, b=fields.b, h1_bar=h1)
             cli._write_pressure_csv(tmp_path / "p.csv", grid, p)
@@ -388,8 +388,8 @@ class TestSolve:
         assert np.unique(fields.h1_bar).size == fields.h1_bar.size
         cli._write_fields_csv(tmp_path / "f.csv", grid, fields)
         assert (tmp_path / "f.csv").read_text() == expected_fields_csv(grid, fields)
-        # no write holds more than CSV_BLOCK_ROWS rows, and the long rows split
-        assert max(lines_per_write) == cli.CSV_BLOCK_ROWS
+        # no write holds more than _g17.BLOCK_ROWS rows, and the long rows split
+        assert max(lines_per_write) == _g17.BLOCK_ROWS
 
     def test_pressure_csv_writes_every_layout(self, tmp_path):
         # values below 1e-4 and from 1e17 up are written as d.ddde+XX, the rest
@@ -547,6 +547,10 @@ class TestSolve:
         ("gap.kind = tabulated\ngap.table_path = {tiny_entry}", "gap.table_path"),
         ("gap.kind = tabulated\ngap.table_path = {one_row}", "gap.table_path"),
         ("gap.table_path = {one_row}", "gap.table_path"),
+        # no data rows: np.loadtxt warns, and a warning would be a second line
+        ("gap.kind = tabulated\ngap.table_path = {empty}", "gap.table_path"),
+        ("gap.kind = tabulated\ngap.table_path = {blank}", "gap.table_path"),
+        ("gap.kind = tabulated\ngap.table_path = {comments}", "gap.table_path"),
         ("grid.nx = 1", "grid.nx"),
         ("grid.nx = abc", "grid.nx"),
         ("inlet.flux = inf", "inlet.flux"),
@@ -569,8 +573,10 @@ class TestSolve:
         ("rough.region.1 = 0.5,0,1,1,n=2\nrough.region.1 = 0,0,0.5,1,n=2",
          "rough.region.1"),
     ])
+    @pytest.mark.filterwarnings("error::UserWarning")
     def test_bad_config_value_exits_2_naming_key(self, capsys, tmp_path, line, key):
         tables = {"one_row": "1.0,2.0\n", "huge_entry": "1.0,2.0\n1.0,1e110\n",
+                  "empty": "", "blank": "\n\n\n", "comments": "# heights\n# none yet\n",
                   "tiny_entry": "1.0,2.0\n1.0,1e-110\n"}
         for name, text in tables.items():
             (tmp_path / f"{name}.csv").write_text(text)

@@ -97,6 +97,8 @@ class TestLoadConfig:
     def test_tabulated_requires_table_path(self):
         with pytest.raises(ConfigError, match="gap.table_path"):
             load_config("gap.kind = tabulated\n")
+        with pytest.raises(ConfigError, match="table"):
+            GapProfile(kind="tabulated")
 
     def test_tabulated_table_from_file(self, tmp_path):
         path = tmp_path / "gap.csv"

@@ -81,7 +81,7 @@ def test_config_text_loads_or_raises_config_error(tables, text):
         assert isinstance(config, ScenarioConfig)
 
 
-def check_cli(argv: list[str]) -> None:
+def check_cli(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -92,6 +92,7 @@ def check_cli(argv: list[str]) -> None:
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert err.startswith("error:" if code == 2 else "numerical failure:"), err
+    return code
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,3 +138,23 @@ def test_command_line_runs_or_exits_with_one_line(argv):
         config.write_text("grid.nx = 4\ngrid.ny = 4\n"
                           "rough.region.1 = 0.25,0.25,0.75,0.75,n=20\n")
         check_cli([a.format(config=config, out=Path(tmp) / "out") for a in argv])
+
+
+# the text of a table file: numbers, separators, comments, a BOM and newlines
+TABLE_TEXT = st.lists(st.sampled_from([*"0123456789,;.-e#\n", "nan", "inf", "\ufeff"]),
+                      max_size=30).map("".join)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(text=TABLE_TEXT)
+@example(text="")
+@example(text="1,2\n3\n")
+def test_table_text_runs_or_exits_2_with_one_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        table, config = Path(tmp) / "gap.csv", Path(tmp) / "gap.cfg"
+        table.write_text(text, encoding="utf-8")
+        config.write_text(f"gap.kind = tabulated\ngap.table_path = {table}\n")
+        code = check_cli(["solve", "--config", str(config), "--nx", "4", "--ny", "4",
+                          "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2), (text, code)

@@ -54,6 +54,7 @@ class TestVelocityProfile:
         assert np.abs(double.u - 2.0 * single.u).max() <= 1e-12
 
     @pytest.mark.parametrize("kw", [dict(h1=-1.0), dict(n=-0.5), dict(n=701.0),
+                                    dict(grad_p=(1.0, 0.0, 0.0)), dict(u_b=1.0),
                                     dict(z_count=4), dict(z_count=Z_COUNT_MAX + 1)])
     def test_domain_errors(self, kw):
         args = dict(h1=1.0, n=1.0, grad_p=(1.0, 0.0), u_b=(1.0, 0.0),
@@ -159,6 +160,9 @@ class TestFlux:
                               h1=1.0, grad_p=profile.grad_p, u_b=profile.u_b)
         with pytest.raises(ValueError):
             flux_from_velocity(short)
+        odd = velocity_profile(1.0, 0.0, (1.0, 0.0), (0.0, 0.0), z_count=9)
+        with pytest.raises(ValueError, match="even"):
+            flux_from_velocity(odd)
 
 
 class TestGradientAt:

@@ -14,7 +14,7 @@ from roughlub.geometry import (GapProfile, Grid, RoughnessSpec, RoughRegion,
 from roughlub.solver import (ConvergenceError, assemble, oracle_1d, solve_linear,
                              solve_reynolds)
 
-from oracles import residual_check
+from oracles import residual_check, simpson
 
 FLAT_GAP = GapProfile(kind="constant", c0=1.0)
 
@@ -486,6 +486,11 @@ class TestOracle1D:
         rough = RoughnessSpec((RoughRegion(0.4, 0.2, 0.6, 0.8, n=2.0),))
         with pytest.raises(ValueError, match="y"):
             oracle_1d(FLAT_GAP, rough, u_bx=1.0, q_e=0.5)
+        varying = GapProfile(kind="tabulated", table=np.array([[1.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(ValueError, match="y"):
+            oracle_1d(varying, RoughnessSpec(), u_bx=1.0, q_e=0.5)
+        with pytest.raises(ValueError, match="2 samples"):
+            oracle_1d(FLAT_GAP, RoughnessSpec(), u_bx=1.0, q_e=0.5, samples=1)
 
     def test_piecewise_rough_flux_constant(self):
         # the first integral (h^3 A/12) p' - h B ubx must equal q_e on both
@@ -498,6 +503,25 @@ class TestOracle1D:
             flux = poiseuille_coeff(n) / 12.0 * dp - couette_coeff(n)
             interior = flux[2:-2]
             assert np.abs(interior - 0.25).max() <= 1e-3
+
+    @pytest.mark.parametrize("x0, x1, n", [(0.45, 0.55, 2.0), (0.3, 0.7, 30.0)])
+    def test_off_lattice_strip_against_piecewise_simpson(self, x0, x1, n):
+        # region edges between samples: p(x) = -int_x^1 of the integrand,
+        # split at the edges, where the intensity is known on each piece
+        from roughlub.coefficients import coefficients
+        rough = RoughnessSpec((RoughRegion(x0, 0.0, x1, 1.0, n=n),))
+        x, p = oracle_1d(GapProfile(), rough, u_bx=1.0, q_e=0.5, samples=2049)
+
+        def integrand(n_piece):
+            a, b = coefficients(n_piece)
+            h = lambda s: (2.0 * s - 1.0) ** 2 + 0.5  # the default channel
+            return lambda s: 12.0 * (0.5 + h(s) * b) / (h(s) ** 3 * a)
+
+        for i in (0, 1000, 1800):  # x = 0, inside the strip, past it
+            cuts = [x[i]] + [e for e in (x0, x1) if e > x[i]] + [1.0]
+            ref = -sum(simpson(integrand(n if x0 <= lo < x1 else 0.0), lo, hi)
+                       for lo, hi in zip(cuts[:-1], cuts[1:]))
+            assert abs(p[i] - ref) <= 1e-12 * abs(ref)
 
 
 class TestOracleEquivalence:
