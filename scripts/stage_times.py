@@ -20,9 +20,11 @@ run is `compare`) and the
 uniformly from [1, 2] at the 257x257 table nodes (seed RANDOM_SEED), so that
 every cell of `fields.csv` differs from its neighbours.  CG iterations
 and multigrid level sizes come from the timed `solve_linear`.  A last case,
-`pointwise`, times the per-point layers alone: `coefficients(n)` and
-`velocity_profile(..., z_count=256)` over POINTWISE_N, a fixed log-uniform
-set on [1e-3, 700], split at the series/closed-form boundary N = 10.
+`pointwise`, times the per-point layers alone: `coefficients(n)`,
+`velocity_profile(..., z_count=256)` and `velocity_profile(..., z_count=64)`
+(the `--nz` default of `roughlub velocity`) over POINTWISE_N, a fixed
+log-uniform set on [1e-3, 700], split at the series/closed-form boundary
+N = 10.
 
 Each `--tree LABEL=SRC` names a source tree to import roughlub from.  Every
 case of every tree runs in a fresh child interpreter, and the trees take
@@ -35,7 +37,8 @@ and scipy versions), `repeats` and `cases`; each case holds `case`,
 solve_linear, pressure_csv, fields_csv), `command_s`, `process_s` (the
 fresh-interpreter run), `cg_iterations` and `levels`; the
 `pointwise` case holds `n_count` and `per_call_s`, the median time of one
-call in each part of the split.  Every case also holds `peak_rss_mb`, the
+call in each part of the split (`velocity_profile_z64_*` for the profiles
+on 64 intervals).  Every case also holds `peak_rss_mb`, the
 peak resident memory of its child interpreter (`ru_maxrss`) after the case.
 `--case NAME` with one `--tree` prints that one case as JSON instead.
 """
@@ -146,7 +149,9 @@ def measure_pointwise(repeats: int) -> dict:
              "n_gt_10": [n for n in POINTWISE_N if n > 10.0]}
     calls = {"coefficients": coefficients,
              "velocity_profile": lambda n: velocity_profile(1.0, n, (1.0, 0.0), (1.0, 0.0),
-                                                            z_count=256)}
+                                                            z_count=256),
+             "velocity_profile_z64": lambda n: velocity_profile(1.0, n, (1.0, 0.0),
+                                                                (1.0, 0.0), z_count=64)}
     per_call = {}
     for name, call in calls.items():
         for part, ns in parts.items():

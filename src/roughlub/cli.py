@@ -125,7 +125,10 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
 def _output_dir(path: str) -> Path:
     """Create the output directory (and parents) if needed."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)  # an OSError exits 2, naming the path
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"--out {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
     return out
 
 

@@ -256,9 +256,10 @@ class ScenarioConfig:
 
 def _read_table(path: str) -> np.ndarray:
     # np.loadtxt would fetch a path that looks like a URL; a handle is a file.
-    # It warns, instead of raising, on a file without data rows.
+    # It warns, instead of raising, on a file without data rows.  utf-8-sig
+    # skips the byte-order mark that some spreadsheet programs write.
     try:
-        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig") as f, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             return np.loadtxt(f, delimiter=",", ndmin=2)
     except UserWarning:

@@ -27,17 +27,32 @@ the coefficients' ``_N_LARGE`` = 10.  With a = n/2 and r = sqrt(a):
   L(Z) = int_0^Z dawsn(rs)/r ds, gives
   J(Z) - J(1) K(Z)/K(1) = -(sqrt(pi)/(2 r^2)) dawsn(rZ)
   [erfcx(rZ) - e^{-r^2 (1-Z^2)} erfcx(r)] - L(Z) + L(1) K(Z)/K(1).
-  L is accumulated over the samples: a fixed 16-node Gauss rule on each
-  interval [Z_j, Z_{j+1}], summed by np.cumsum, so a profile on z_count
-  intervals costs 16 z_count Dawson evaluations and L(1) is the last sum.
+  L is accumulated over the samples: an m-node Gauss rule on each interval
+  [Z_j, Z_{j+1}], summed by np.cumsum, so a profile on z_count intervals
+  costs m z_count Dawson evaluations and L(1) is the last sum.  m follows
+  from z_count alone, sized for N = 700: 16 below 32 intervals, 8 below
+  256, 4 from 256 up, each within 5e-15 of L relative for N in (10, 700]
+  (against a 32-node rule; 8 nodes at 16 intervals lose 1.2e-14, 4 nodes
+  at 128 lose 4e-14; Davis & Rabinowitz, Methods of Numerical Integration,
+  2nd ed., 1984, section 2.7, for the error term).
+
+The samples, the n <= 10 power table z^(2k) and the unit Gauss positions
+Z_j + dZ_j x_i of the n > 10 rule depend on z_count alone.  They form the
+sample plan, kept read-only in one per-process slot (``_sample_plan``):
+the first profile on a z_count builds the part its branch reads, later
+ones reuse it, and another z_count empties the slot before its own plan
+is built.  No returned profile shares an array with the slot.
 
 A profile takes at most ``Z_COUNT_MAX`` intervals, checked before any array
-is built.
+is built.  h1, grad_p and u_b must be finite, and so must h1**2 max(1,
+|grad_p|) in a profile, and h1**3 max(1, |grad_p|) and h1 |u_b| in the
+coefficient-level flux.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,52 +83,106 @@ class ComparisonReport:
     l2_outside_rough: float
 
 
-# Largest z_count: a profile then peaks at about 13 MB (16 Gauss nodes per interval).
+# Largest z_count.  A profile then peaks at about 29 MB with n <= 10, for
+# the 25 MB power table it keeps in the slot, and at about 9 MB above.
 Z_COUNT_MAX = 2**16
 
-# One 16-node Gauss-Legendre rule on (0, 1), applied to every sample interval
-# of L(Z).  Within 5e-15 of L relative for N in (10, 700] from 8 intervals up;
-# 8 nodes lose 3e-10 at 8 intervals and N = 700.
-_INTERVAL_NODES, _INTERVAL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_INTERVAL_NODES = 0.5 * (_INTERVAL_NODES + 1.0)
-_INTERVAL_WEIGHTS = 0.5 * _INTERVAL_WEIGHTS
+
+def _power_table(z: np.ndarray) -> dict[str, np.ndarray]:
+    """z^(2k) on the samples, one column per term of the n <= 10 series."""
+    return {"powers": np.vander(z * z, len(_SERIES), increasing=True)}
 
 
-def _dawson_primitive(r: float, z: np.ndarray) -> np.ndarray:
-    """L(Z) = int_0^Z dawsn(r s)/r ds on increasing samples with z[0] = 0."""
-    from scipy.special import dawsn  # deferred, as in .coefficients
+def _gauss_rule(z: np.ndarray) -> dict[str, np.ndarray]:
+    """The unit positions Z_j + dZ_j x_i, one row per interval, the weights
+    and dZ of the m-node Gauss rule of L(Z) (module docstring)."""
+    z_count = z.size - 1
+    nodes, weights = np.polynomial.legendre.leggauss(
+        16 if z_count < 32 else 8 if z_count < 256 else 4)
     dz = np.diff(z)
-    s = np.multiply.outer(dz, _INTERVAL_NODES)
-    s += z[:-1, None]
-    s *= r
-    pieces = dawsn(s, out=s) @ _INTERVAL_WEIGHTS
-    pieces *= dz / r
+    return {"positions": np.multiply.outer(dz, 0.5 * (nodes + 1.0)) + z[:-1, None],
+            "weights": 0.5 * weights, "dz": dz}
+
+
+_PLAN_PARTS = {"powers": _power_table, "positions": _gauss_rule}
+_slot_lock = threading.Lock()
+_slot: dict[str, np.ndarray] = {}  # the sample plan of the last z_count, or empty
+
+
+def _sample_plan(z_count: int, part: str) -> dict[str, np.ndarray]:
+    """The plan of the last z_count asked for, kept in one slot: the samples
+    `z` and, built on first use, `part` ("powers" or "positions").  Another
+    z_count empties the slot before its own plan is built; every array in
+    the plan is read-only, and a returned plan is never changed."""
+    global _slot
+    with _slot_lock:
+        if "z" not in _slot or _slot["z"].size != z_count + 1:
+            _slot = {}
+            _slot = {"z": np.linspace(0.0, 1.0, z_count + 1)}
+        if part not in _slot:
+            _slot = {**_slot, **_PLAN_PARTS[part](_slot["z"])}
+            for array in _slot.values():
+                array.flags.writeable = False
+        return _slot
+
+
+def _dawson_primitive(r: float, z_count: int) -> np.ndarray:
+    """L(Z) = int_0^Z dawsn(r s)/r ds on the z_count + 1 samples of the plan."""
+    from scipy.special import dawsn  # deferred, as in .coefficients
+    plan = _sample_plan(z_count, "positions")
+    s = plan["positions"] * r
+    pieces = dawsn(s, out=s) @ plan["weights"]
+    pieces *= plan["dz"] / r
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
-def _kernel_profile(n: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K(Z)/K(1) and J(Z) - J(1) K(Z)/K(1) on samples with z[0] = 0, z[-1] = 1."""
+def _kernel_profile(n: float, z_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan's samples Z (read-only), K(Z)/K(1) and J(Z) - J(1) K(Z)/K(1)."""
     if n <= _N_LARGE:
-        a = 0.5 * n
-        powers = np.vander(z * z, len(_SERIES), increasing=True)
-        kj = powers @ (_SERIES[:, :2] * a ** np.arange(len(_SERIES))[:, None])
-        k, j = z * kj[:, 0], z * z * kj[:, 1]
-        ratio = k / k[-1]
-        poiseuille = j - j[-1] * ratio
+        plan = _sample_plan(z_count, "powers")
+        z, a = plan["z"], 0.5 * n
+        kj = plan["powers"] @ (_SERIES[:, :2] * a ** np.arange(len(_SERIES))[:, None])
+        ratio, poiseuille = z * kj[:, 0], z * z * kj[:, 1]  # K(Z), J(Z)
+        ratio /= ratio[-1]
+        poiseuille -= poiseuille[-1] * ratio
     else:
         from scipy.special import dawsn, erfcx  # deferred, as in .coefficients
+        z = _sample_plan(z_count, "positions")["z"]
         r = math.sqrt(0.5 * n)
         rz = r * z
         damp = np.exp(-0.5 * n * (1.0 - z * z))
         d = dawsn(rz)
         ratio = damp * d / d[-1]
-        lz = _dawson_primitive(r, z)
+        lz = _dawson_primitive(r, z_count)
         poiseuille = (-math.sqrt(math.pi) / (2.0 * r * r) * d
                       * (erfcx(rz) - damp * erfcx(r)) - lz + lz[-1] * ratio)
     # exact wall values, so u(0) = U_b and u(1) = 0 hold bit for bit
     ratio[0], ratio[-1] = 0.0, 1.0
     poiseuille[0] = poiseuille[-1] = 0.0
-    return ratio, poiseuille
+    return z, ratio, poiseuille
+
+
+def _check_forcing(h1, grad_p, u_b, power: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """h1 as a float and grad_p, u_b as 2-vectors, all finite; a ValueError
+    names the input at fault.  The terms h1**power max(1, |grad_p|) and
+    h1**(power - 2) |u_b| must be finite too: with A < 1.2 and B < 1 they
+    bound the terms of a profile (power 2) and of the flux (power 3)."""
+    h1 = float(h1)
+    if not (h1 > 0.0 and math.isfinite(h1)):
+        raise ValueError(f"gap height h1 must be finite and positive, got {h1}")
+    grad_p = np.asarray(grad_p, dtype=float)
+    u_b = np.asarray(u_b, dtype=float)
+    if grad_p.shape != (2,) or u_b.shape != (2,):
+        raise ValueError("grad_p and u_b must be 2-vectors")
+    for name, vector in (("grad_p", grad_p.tolist()), ("u_b", u_b.tolist())):
+        if not all(map(math.isfinite, vector)):
+            raise ValueError(f"{name} must be finite, got {vector}")
+    g, v = (max(map(abs, vector.tolist())) for vector in (grad_p, u_b))
+    if math.isinf(max(math.prod([h1] * power + [max(1.0, g)]),
+                      math.prod([h1] * (power - 2) + [v]))):
+        raise ValueError(f"overflow at h1 = {h1}, grad_p = {grad_p.tolist()}, "
+                         f"u_b = {u_b.tolist()}")
+    return h1, grad_p, u_b
 
 
 def velocity_profile(h1: float, n: float, grad_p, u_b,
@@ -122,19 +191,14 @@ def velocity_profile(h1: float, n: float, grad_p, u_b,
     n = _check_intensity(n)
     if not 8 <= z_count <= Z_COUNT_MAX:
         raise ValueError(f"z_count must be in [8, {Z_COUNT_MAX}], got {z_count}")
-    h1 = float(h1)
-    if h1 <= 0.0:
-        raise ValueError(f"gap height must be positive, got {h1}")
-    grad_p = np.asarray(grad_p, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
-    if grad_p.shape != (2,) or u_b.shape != (2,):
-        raise ValueError("grad_p and u_b must be 2-vectors")
-
-    z = np.linspace(0.0, 1.0, z_count + 1)
-    ratio, poiseuille = _kernel_profile(n, z)
-    u = (h1 * h1 * poiseuille[:, None] * grad_p[None, :]
-         + (1.0 - ratio)[:, None] * u_b[None, :])
-    return VelocityProfile(z=z, u=u, n_psi=n, h1=h1, grad_p=grad_p, u_b=u_b)
+    h1, grad_p, u_b = _check_forcing(h1, grad_p, u_b, 2)
+    z, ratio, poiseuille = _kernel_profile(n, z_count)
+    # in place: beside the held power table, the temporaries stay below the
+    # kernel's own peak
+    poiseuille *= h1 * h1
+    u = np.multiply.outer(poiseuille, grad_p)
+    u += np.multiply.outer(np.subtract(1.0, ratio, out=ratio), u_b)
+    return VelocityProfile(z=z.copy(), u=u, n_psi=n, h1=h1, grad_p=grad_p, u_b=u_b)
 
 
 def flux_from_velocity(profile: VelocityProfile) -> np.ndarray:
@@ -153,9 +217,7 @@ def flux_from_velocity(profile: VelocityProfile) -> np.ndarray:
 
 def flux_from_coefficients(h1: float, n: float, grad_p, u_b) -> np.ndarray:
     """Flux predicted by the effective coefficients: h B U_b - (h^3 A/12) grad p."""
-    h1 = float(h1)
-    grad_p = np.asarray(grad_p, dtype=float)
-    u_b = np.asarray(u_b, dtype=float)
+    h1, grad_p, u_b = _check_forcing(h1, grad_p, u_b, 3)
     a, b = coefficients(n)
     return h1 * b * u_b - h1**3 * a / 12.0 * grad_p
 

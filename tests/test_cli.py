@@ -337,6 +337,23 @@ class TestSolve:
         assert lines["b"] != lines["a"] and len(lines["b"]) == 1
         assert lines["a_again"] == lines["a"]
 
+    def test_table_with_a_byte_order_mark(self, capsys, tmp_path):
+        # some spreadsheet programs start a UTF-8 file with a BOM; the table
+        # reads as the same table without it
+        text = "1,1.5,2\n1.25,1,0.75\n0.5,1,1.5\n"
+        pressures = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / f"{name}.csv").write_text(text, encoding=encoding)
+            config = tmp_path / f"{name}.cfg"
+            config.write_text("grid.nx = 4\ngrid.ny = 4\ngap.kind = tabulated\n"
+                              f"gap.table_path = {tmp_path / name}.csv\n")
+            code, _, err = run(capsys, "solve", "--config", str(config),
+                               "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            pressures.append((tmp_path / name / "pressure.csv").read_bytes())
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert pressures[0] == pressures[1]
+
     def test_csv_writers_match_per_value_formatting(self, tmp_path, lines_per_write):
         # both files convert their values in numpy (_g17) and reuse the bytes
         # of a repeated lattice row; the bytes must equal formatting every

@@ -81,7 +81,7 @@ def test_config_text_loads_or_raises_config_error(tables, text):
         assert isinstance(config, ScenarioConfig)
 
 
-def check_cli(argv: list[str]) -> int:
+def check_cli(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -92,7 +92,7 @@ def check_cli(argv: list[str]) -> int:
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert err.startswith("error:" if code == 2 else "numerical failure:"), err
-    return code
+    return code, err
 
 
 @settings(max_examples=25, deadline=None)
@@ -155,6 +155,39 @@ def test_table_text_runs_or_exits_2_with_one_line(text):
         table, config = Path(tmp) / "gap.csv", Path(tmp) / "gap.cfg"
         table.write_text(text, encoding="utf-8")
         config.write_text(f"gap.kind = tabulated\ngap.table_path = {table}\n")
-        code = check_cli(["solve", "--config", str(config), "--nx", "4", "--ny", "4",
-                          "--out", str(Path(tmp) / "out")])
+        code, _ = check_cli(["solve", "--config", str(config), "--nx", "4", "--ny", "4",
+                             "--out", str(Path(tmp) / "out")])
         assert code in (0, 2), (text, code)
+
+
+# the strings given as --config, --out and gap.table_path: a usable one, empty,
+# a directory, a regular file (for --config, a table), a missing file, a name
+# over 255 bytes, a NUL byte, a path under a regular file, and control
+# characters; {tmp} is the run's directory, which is also the working one
+PATHS = st.one_of(
+    st.just("{good}"),
+    st.sampled_from(["", "{tmp}", "{file}", "{tmp}/missing/file",
+                     "{tmp}/" + "n" * 256, "{tmp}/x\0y", "{file}/below"]),
+    st.text(st.characters(max_codepoint=31), min_size=1, max_size=4).map("{tmp}/".__add__))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=PATHS, table=PATHS, out=PATHS)
+@example(config="{good}", table="{good}", out="{tmp}/x\0y")
+@example(config="{good}", table="{good}", out="{tmp}/" + "n" * 256)
+@example(config="{tmp}", table="{good}", out="{good}")
+def test_paths_run_or_exit_2_with_one_line(config, table, out):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        file = Path(tmp) / "good.csv"
+        file.write_text(TABLES["good.csv"])
+        good = {"config": Path(tmp) / "good.cfg", "table": file, "out": Path(tmp) / "out"}
+        config, table, out = (path.format(good=good[role], tmp=tmp, file=file)
+                              for role, path in (("config", config), ("table", table),
+                                                 ("out", out)))
+        good["config"].write_text(f"gap.kind = tabulated\ngap.table_path = {table}\n",
+                                  encoding="utf-8")
+        code, err = check_cli(["solve", "--config", config, "--nx", "4", "--ny", "4",
+                               "--out", out])
+        assert code in (0, 2), (config, table, out, code)
+        if code == 2 and config == str(good["config"]) and table == str(file):
+            assert "--out" in err, err  # only the output path is at fault

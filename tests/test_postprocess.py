@@ -1,11 +1,14 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughlub import postprocess
 from roughlub.coefficients import cosine_roughness_intensity
 from roughlub.geometry import (RoughnessSpec, RoughRegion, ScenarioConfig,
                                build_fields)
@@ -55,12 +58,18 @@ class TestVelocityProfile:
 
     @pytest.mark.parametrize("kw", [dict(h1=-1.0), dict(n=-0.5), dict(n=701.0),
                                     dict(grad_p=(1.0, 0.0, 0.0)), dict(u_b=1.0),
-                                    dict(z_count=4), dict(z_count=Z_COUNT_MAX + 1)])
+                                    dict(z_count=4), dict(z_count=Z_COUNT_MAX + 1),
+                                    # non-finite input, and h1**2 max(1, |grad_p|) overflowing
+                                    dict(h1=math.nan), dict(h1=math.inf),
+                                    dict(grad_p=(math.nan, 0.0)), dict(u_b=(math.inf, 0.0)),
+                                    dict(h1=1e200), dict(h1=1e200, grad_p=(0.0, 0.0)),
+                                    dict(h1=1e100, grad_p=(0.0, 1e200))])
     def test_domain_errors(self, kw):
+        # the message names the first argument at fault
         args = dict(h1=1.0, n=1.0, grad_p=(1.0, 0.0), u_b=(1.0, 0.0),
                     z_count=16)
         args.update(kw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             velocity_profile(**args)
 
     def test_largest_z_count(self):
@@ -70,17 +79,19 @@ class TestVelocityProfile:
         assert np.all(np.isfinite(profile.u))
         assert np.array_equal(profile.u[0], [1.0, 0.4])
 
-    @pytest.mark.parametrize("z_count", [8, 9, 256, 4096])
+    # 16 nodes per interval below 32 intervals, 8 below 256, 4 from 256 up
+    @pytest.mark.parametrize("z_count", [8, 9, 31, 32, 255, 256, 4096])
     @pytest.mark.parametrize("n", [10.5, 30.0, 200.0, 700.0])
     def test_dawson_primitive_against_simpson_oracle(self, z_count, n):
         r = math.sqrt(0.5 * n)
-        lz = _dawson_primitive(r, np.linspace(0.0, 1.0, z_count + 1))
+        lz = _dawson_primitive(r, z_count)
         expected = dawson_primitive_oracle(r, z_count)
         assert np.abs(lz - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_peak_memory_at_4096_intervals(self):
-        # one 16-node rule per interval: about 0.9 MB; a 64-node rule on
-        # every [0, Z_j] took 4.4 MB
+        # 4 Gauss nodes per interval, their positions held in the plan slot:
+        # about 0.36 MB; 16 nodes built on every call took 0.9 MB, and a
+        # 64-node rule on every [0, Z_j] 4.4 MB
         velocity_profile(1.0, 700.0, (1.0, 0.0), (1.0, 0.0), z_count=4096)
         tracemalloc.start()
         try:
@@ -89,6 +100,102 @@ class TestVelocityProfile:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+class TestPlanSlot:
+    # z_counts A, B, C: 8, 4 and 16 Gauss nodes per interval; one intensity
+    # on each side of the series / closed-form split
+    Z_COUNTS = (64, 256, 31)
+    INTENSITIES = (2.0, 300.0)
+
+    @staticmethod
+    def profile(n, z_count):
+        return velocity_profile(1.2, n, (0.8, -1.3), (1.0, 0.4), z_count=z_count)
+
+    def cold_profiles(self, z_counts, monkeypatch):
+        cold = {}
+        for z_count in z_counts:
+            for n in self.INTENSITIES:
+                monkeypatch.setattr(postprocess, "_slot", {})
+                cold[n, z_count] = self.profile(n, z_count)
+        monkeypatch.setattr(postprocess, "_slot", {})
+        return cold
+
+    def test_z_counts_in_turn_match_cold_profiles(self, monkeypatch):
+        # A, B, A, C, A, each branch first in turn: no profile reads another
+        # z_count's plan, and each equals a profile from an empty slot
+        a, b, c = self.Z_COUNTS
+        cold = self.cold_profiles(self.Z_COUNTS, monkeypatch)
+        for k, z_count in enumerate((a, b, a, c, a)):
+            for n in self.INTENSITIES[::1 if k % 2 else -1]:
+                profile = self.profile(n, z_count)
+                assert np.array_equal(profile.z, cold[n, z_count].z)
+                assert np.array_equal(profile.u, cold[n, z_count].u)
+
+    def test_slot_released_before_the_next_plan_is_built(self, monkeypatch):
+        # A's power table is gone, without the cyclic collector, before the
+        # power table of B is allocated
+        monkeypatch.setattr(postprocess, "_slot", {})
+        self.profile(2.0, 64)
+        ref = weakref.ref(postprocess._slot["powers"])
+        self.profile(2.0, 64)
+        assert postprocess._slot["powers"] is ref()  # a hit reads the held table
+        alive = []
+        build = postprocess._PLAN_PARTS["powers"]
+
+        def spy(z):
+            alive.append(ref() is not None)
+            return build(z)
+
+        monkeypatch.setitem(postprocess._PLAN_PARTS, "powers", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.profile(2.0, 256)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == [False]
+
+    def test_profiles_do_not_share_the_plan(self, monkeypatch):
+        cold = self.cold_profiles((64,), monkeypatch)
+        for n in self.INTENSITIES:
+            profile = self.profile(n, 64)
+            profile.z[:] = -1.0
+            profile.u[:] = -1.0
+            again = self.profile(n, 64)
+            assert np.array_equal(again.z, cold[n, 64].z)
+            assert np.array_equal(again.u, cold[n, 64].u)
+        assert not any(a.flags.writeable for a in postprocess._slot.values())
+
+    def test_concurrent_profiles_on_other_z_counts_match_cold_profiles(self, monkeypatch):
+        # four threads, one z_count each, with frequent thread switches: a
+        # profile that read another z_count's plan would fail on its shape or
+        # differ from a cold profile
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        z_counts = (31, 64, 255, 1024)
+        cold = self.cold_profiles(z_counts, monkeypatch)
+        start = threading.Barrier(len(z_counts), timeout=60)
+
+        def profile_many(z_count):
+            start.wait()
+            return [(n, self.profile(n, z_count).u)
+                    for _ in range(6) for n in self.INTENSITIES]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(z_counts)) as pool:
+                futures = [pool.submit(profile_many, z_count) for z_count in z_counts]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for z_count, profiles in zip(z_counts, results):
+            assert len(profiles) == 12
+            assert all(np.array_equal(u, cold[n, z_count].u) for n, u in profiles)
 
 
 class TestFlux:
@@ -111,6 +218,19 @@ class TestFlux:
         flux = flux_from_coefficients(1.0, 2.0, (0.0, 0.0), (1.0, 0.0))
         assert flux[0] == pytest.approx(0.58739, abs=5e-5)
         assert flux[1] == 0.0
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 2.0, (1.0, 0.0), (1.0, 0.0)), "h1"),
+        ((1e200, 2.0, (1.0, 0.0), (1.0, 0.0)), "h1"),  # h1**3 overflows
+        ((1e200, 2.0, (0.0, 0.0), (1.0, 0.0)), "h1"),
+        ((1e100, 2.0, (1e10, 0.0), (1.0, 0.0)), "h1"),  # h1**3 |grad_p| overflows
+        ((1.0, 2.0, (math.nan, 0.0), (1.0, 0.0)), "grad_p"),
+        ((1.0, 2.0, (1.0, 0.0), (0.0, -math.inf)), "u_b"),
+        ((1e100, 2.0, (1.0, 0.0), (1e300, 0.0)), "u_b"),  # h1 |u_b| overflows
+    ])
+    def test_coefficient_flux_domain_errors(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            flux_from_coefficients(*args)
 
     def test_all_zero_inputs(self):
         assert np.array_equal(
