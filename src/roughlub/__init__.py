@@ -8,8 +8,7 @@ on the unit square, and reconstructs the through-gap velocity profile.
 """
 
 from .coefficients import (CoefficientPair, coefficients, cosine_roughness_intensity,
-                           couette_coeff, decay_integral, growth_integral,
-                           poiseuille_coeff, triangle_integral)
+                           growth_integral)
 from .geometry import (CoefficientFields, ConfigError, GapProfile, Grid,
                        RoughnessSpec, RoughRegion, ScenarioConfig, build_fields,
                        evaluate_gap, load_config)
@@ -17,19 +16,18 @@ from .postprocess import (ComparisonReport, VelocityProfile, compare_fields,
                           flux_from_coefficients, flux_from_velocity,
                           gradient_at, velocity_profile)
 from .solver import (ConvergenceError, LinearSystem, PressureSolution, assemble,
-                     oracle_1d, solve_fields, solve_linear, solve_reynolds)
+                     solve_fields, solve_linear, solve_reynolds)
 
 __all__ = [
     "CoefficientPair", "coefficients", "cosine_roughness_intensity",
-    "couette_coeff", "decay_integral", "growth_integral", "poiseuille_coeff",
-    "triangle_integral",
+    "growth_integral",
     "CoefficientFields", "ConfigError", "GapProfile", "Grid", "RoughnessSpec",
     "RoughRegion", "ScenarioConfig", "build_fields", "evaluate_gap", "load_config",
     "ComparisonReport", "VelocityProfile", "compare_fields",
     "flux_from_coefficients", "flux_from_velocity", "gradient_at",
     "velocity_profile",
     "ConvergenceError", "LinearSystem", "PressureSolution", "assemble",
-    "oracle_1d", "solve_fields", "solve_linear", "solve_reynolds",
+    "solve_fields", "solve_linear", "solve_reynolds",
 ]
 
 __version__ = "0.1.0"

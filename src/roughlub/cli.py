@@ -53,9 +53,13 @@ def _load_scenario(config_path: str | None, scenario: str | None,
         raise ConfigError("either --config or --scenario is required")
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {config_path!r}")
-        config = load_config(path.read_text(encoding="utf-8"))
+        try:
+            if not path.is_file():
+                raise ConfigError(f"--config {config_path!r}: file not found")
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:  # unreadable, or a name too long for the system
+            raise ConfigError(f"--config {config_path!r}: {exc.strerror or exc}") from None
+        config = load_config(text)
     else:
         config = ScenarioConfig()
     replace: dict = {}
@@ -124,6 +128,8 @@ def _write_manifest(path: Path, scenario: str, config: ScenarioConfig,
 
 def _output_dir(path: str) -> Path:
     """Create the output directory (and parents) if needed."""
+    if not path:  # Path('') is the working directory
+        raise ConfigError("--out '': empty path")
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)

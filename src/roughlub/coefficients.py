@@ -12,8 +12,8 @@ replaced by ``h * B(N)``, where
 built from the three Gaussian-kernel integrals
 
     I1(N) = int_0^1 exp( N s^2 / 2) ds          (growth_integral)
-    I2(N) = int_0^1 exp(-N t^2 / 2) dt          (decay_integral)
-    I3(N) = int_0^1 int_0^s exp(N (s^2 - t^2)/2) dt ds   (triangle_integral)
+    I2(N) = int_0^1 exp(-N t^2 / 2) dt
+    I3(N) = int_0^1 int_0^s exp(N (s^2 - t^2)/2) dt ds
 
 With r = sqrt(N/2) these have closed forms in Dawson's integral and the
 scaled complementary error function erfcx (DLMF section 7):
@@ -22,8 +22,8 @@ scaled complementary error function erfcx (DLMF section 7):
     I3 = sqrt(pi)/(2r) (I1 - E),   E = int_0^1 erfcx(r s) ds,
     A  = (12/N) [sqrt(pi/2N) (1 - erfcx(r) + (1 - e^{-N/2}) E r / dawsn(r)) - 1].
 
-``coefficients(N)`` is the one evaluation of A and B; ``poiseuille_coeff``
-and ``couette_coeff`` read its fields.  It computes each kernel once per call.
+``coefficients(N)`` is the one evaluation of A and B.  It computes each
+kernel once per call.
 Above ``_N_LARGE`` = 10 it uses these forms, with E on a fixed 64-node
 Gauss-Legendre rule and one dawsn(r) shared by A and B.  At or below it,
 I1, I3, A and B come from one table of power series in a = N/2 (``_SERIES``,
@@ -37,8 +37,7 @@ coefficients of
 where the third is the Poiseuille flux of the velocity profile.  Every
 coefficient is positive, so no sum cancels and the removable singularity of
 the 1/N prefactors at N = 0 needs no branch of its own: N = 0 reads the first
-row, the classical A = 1, B = 1/2.  ``decay_integral`` gives I2 by the erf
-form at every N.
+row, the classical A = 1, B = 1/2.
 
 ``scipy.special`` is imported only for N > 10: importing it costs tens of
 milliseconds, which every command-line run would otherwise pay.
@@ -119,24 +118,6 @@ def growth_integral(n: float) -> float:
     return math.exp(0.5 * n) * float(dawsn(r)) / r
 
 
-def decay_integral(n: float) -> float:
-    """I2(n) = int_0^1 exp(-n t^2 / 2) dt."""
-    n = _check_intensity(n)
-    if n == 0.0:
-        return 1.0
-    r = math.sqrt(0.5 * n)
-    return math.sqrt(math.pi) / (2.0 * r) * math.erf(r)
-
-
-def triangle_integral(n: float) -> float:
-    """I3(n) = int_0^1 int_0^s exp(n (s^2 - t^2) / 2) dt ds."""
-    n = _check_intensity(n)
-    if n <= _N_LARGE:
-        return _series_sums(n)[1]
-    r = math.sqrt(0.5 * n)
-    return math.sqrt(math.pi) / (2.0 * r) * (growth_integral(n) - _erfcx_mean(r))
-
-
 def coefficients(n: float) -> CoefficientPair:
     """Poiseuille multiplier A (on h^3/12) and Couette multiplier B (for 1/2).
 
@@ -168,16 +149,6 @@ def coefficient_arrays(n) -> CoefficientPair:
         sel = n == value
         a[sel], b[sel] = coefficients(value)
     return CoefficientPair(a, b)
-
-
-def poiseuille_coeff(n: float) -> float:
-    """A(n), the multiplier of the pressure-driven h^3/12 flux term."""
-    return coefficients(n).a
-
-
-def couette_coeff(n: float) -> float:
-    """B(n), the multiplier of the shear-driven h*U_b flux term (1/2 when smooth)."""
-    return coefficients(n).b
 
 
 def cosine_roughness_intensity(amplitude: float, wavenumber: int) -> float:

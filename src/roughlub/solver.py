@@ -55,9 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coefficients import coefficient_arrays
-from .geometry import (CoefficientFields, GapProfile, Grid, RoughnessSpec,
-                       ScenarioConfig, build_fields, evaluate_gap)
+from .geometry import CoefficientFields, Grid, ScenarioConfig, build_fields
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -261,6 +259,13 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
     return z
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v summed by numpy in one thread, in an order fixed by the build and
+    CPU.  BLAS splits a long dot across its threads, so its last digits, and
+    the output bytes, would follow the thread count."""
+    return float(np.einsum("i,i->", u, v))
+
+
 # Data near the float range overflows in the norms and products of CG; that
 # shows as a non-finite residual, reported as one ConvergenceError.
 @np.errstate(over="ignore", invalid="ignore")
@@ -270,7 +275,8 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     The preconditioner is one symmetric V-cycle of the Galerkin hierarchy on
     `_transfers(system.grid)`; CG stops after MAX_ITER iterations.
     A zero right-hand side short-circuits to the zero solution.  The result
-    is deterministic for fixed inputs (fixed operation order).
+    is deterministic for fixed inputs (fixed operation order), also across
+    BLAS thread counts: the reductions of CG are `_dot`s.
     """
     m = system.matrix
     full = np.zeros(system.grid.n_nodes)
@@ -283,7 +289,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     # still shows as a nan residual
     shift = -min(math.frexp(b_max)[1], 0)
     b = np.ldexp(system.rhs, shift)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(_dot(b, b))
 
     levels = _hierarchy(system)
     x = np.zeros(b.size)
@@ -291,21 +297,21 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     d = None  # no direction yet: CG starts, or restarts, from d = z
     for iterations in range(1, MAX_ITER + 1):
         z = _vcycle(levels, r)
-        rz_next = float(r @ z)
+        rz_next = _dot(r, z)
         d = z if d is None else z + (rz_next / rz) * d
         rz = rz_next
         ad = m @ d
-        alpha = rz / float(d @ ad)
+        alpha = rz / _dot(d, ad)
         x += alpha * d
         r -= alpha * ad
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(_dot(r, r))
         if not math.isfinite(r_norm):
             residual = math.nan  # no later iterate is finite either
             break
         if r_norm <= tol * b_norm or iterations == MAX_ITER:
             # recurrence residual can drift; confirm with the true residual
             true_r = b - m @ x
-            residual = float(np.linalg.norm(true_r) / b_norm)
+            residual = math.sqrt(_dot(true_r, true_r)) / b_norm
             if residual <= tol:
                 break
             # restart from the true residual: the old direction and r.z belong to
@@ -335,44 +341,3 @@ def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
     """Full pipeline: fields -> assembly -> linear solve."""
     return solve_fields(config, *build_fields(config))[0]
 
-
-def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,
-              q_e: float, samples: int = 129) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form pressure for y-independent data, for solver validation.
-
-    In one horizontal dimension the flux (h^3 A / 12) p' - h B u_bx is the
-    constant q_e, so with p(1) = 0
-
-        p(x) = - int_x^1 12 (q_e + h(s) B(s) u_bx) / (h(s)^3 A(s)) ds.
-
-    The pieces between neighbouring samples and rough-region edges are each
-    integrated once, by composite Simpson with about 2^14 panels in all, so
-    the discontinuous coefficients never straddle a panel; p(x_i) is minus
-    the sum of the pieces to the right of x_i.
-    """
-    if gap.kind == "tabulated" and not np.allclose(
-            gap.table, gap.table[0], rtol=0.0, atol=0.0):
-        raise ValueError("1d oracle needs a gap that does not vary in y")
-    eps = 1e-12
-    for r in roughness.regions:
-        if r.y0 > eps or r.y1 < 1.0 - eps:
-            raise ValueError("1d oracle needs rough regions spanning the full y range")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-
-    x = np.linspace(0.0, 1.0, samples)
-    cuts = np.unique(np.concatenate([x] + [(r.x0, r.x1) for r in roughness.regions]))
-    width = np.diff(cuts)
-    panels = max(1, 2**14 // width.size)  # per piece
-    s = cuts[:-1, None] + width[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
-    # nudge the end samples off the piece boundary so a coefficient jump
-    # shared with the neighbouring piece is sampled on the correct side
-    s[:, 0] += 1e-13
-    s[:, -1] = cuts[1:] - 1e-13
-    h = evaluate_gap(gap, s, np.full_like(s, 0.5))
-    a, b = coefficient_arrays(roughness.intensity_at(s, np.full_like(s, 0.5)))
-    y = 12.0 * (q_e + h * b * u_bx) / (h**3 * a)
-    pieces = width / (6 * panels) * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1::2].sum(1)
-                                     + 2.0 * y[:, 2:-1:2].sum(1))
-    right = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)  # integral over [cuts[j], 1]
-    return x, -right[np.searchsorted(cuts, x)]

@@ -2,13 +2,18 @@
 
 Everything here is composite Simpson on uniform grids, deliberately distinct
 from the power series, Gauss rules and closed forms used by the package itself.
-Special functions (Dawson's integral) are taken from ``scipy.special``; only
-the quadrature is independent.  `residual_check` measures a pressure solution
-against its assembled system.
+Special functions (Dawson's integral, erfcx) are taken from ``scipy.special``;
+only the quadrature is independent.  `oracle_1d` integrates the 1-D pressure
+with the package's own coefficients, so it checks the solver, not A and B.
+`residual_check` measures a pressure solution against its assembled system.
 """
+
+import math
 
 import numpy as np
 
+from roughlub.coefficients import coefficient_arrays
+from roughlub.geometry import GapProfile, RoughnessSpec, evaluate_gap
 from roughlub.solver import LinearSystem, PressureSolution
 
 
@@ -77,6 +82,63 @@ def couette_oracle(n, panels=2**16):
     if n == 0.0:
         return 0.5
     return (np.exp(0.5 * n) - 1.0) / n / growth_oracle(n, panels)
+
+
+def bounded_poiseuille_oracle(n, panels=2**16):
+    """A(n) for n > 0 from the bounded closed form, with r = sqrt(n/2):
+
+        12/n [sqrt(pi/2n) (1 - erfcx(r) - expm1(-n/2) E r / dawsn(r)) - 1],
+
+    E = int_0^1 erfcx(r s) ds by `simpson`.  Unlike `poiseuille_oracle`, whose
+    terms cancel as e^{n/2} grows (7e-5 relative at n = 50), it holds up to 700.
+    """
+    from scipy.special import dawsn, erfcx
+    r = math.sqrt(0.5 * n)
+    e = simpson(lambda s: erfcx(r * s), 0.0, 1.0, panels)
+    bracket = 1.0 - float(erfcx(r)) - math.expm1(-0.5 * n) * e * r / float(dawsn(r))
+    return 12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0)
+
+
+def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,
+              q_e: float, samples: int = 129) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form pressure for y-independent data, for solver validation.
+
+    In one horizontal dimension the flux (h^3 A / 12) p' - h B u_bx is the
+    constant q_e, so with p(1) = 0
+
+        p(x) = - int_x^1 12 (q_e + h(s) B(s) u_bx) / (h(s)^3 A(s)) ds.
+
+    The pieces between neighbouring samples and rough-region edges are each
+    integrated once, by composite Simpson with about 2^14 panels in all, so
+    the discontinuous coefficients never straddle a panel; p(x_i) is minus
+    the sum of the pieces to the right of x_i.
+    """
+    if gap.kind == "tabulated" and not np.allclose(
+            gap.table, gap.table[0], rtol=0.0, atol=0.0):
+        raise ValueError("1d oracle needs a gap that does not vary in y")
+    eps = 1e-12
+    for r in roughness.regions:
+        if r.y0 > eps or r.y1 < 1.0 - eps:
+            raise ValueError("1d oracle needs rough regions spanning the full y range")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+
+    x = np.linspace(0.0, 1.0, samples)
+    cuts = np.unique(np.concatenate([x] + [(r.x0, r.x1) for r in roughness.regions]))
+    width = np.diff(cuts)
+    panels = max(1, 2**14 // width.size)  # per piece
+    s = cuts[:-1, None] + width[:, None] * np.linspace(0.0, 1.0, 2 * panels + 1)
+    # nudge the end samples off the piece boundary so a coefficient jump
+    # shared with the neighbouring piece is sampled on the correct side
+    s[:, 0] += 1e-13
+    s[:, -1] = cuts[1:] - 1e-13
+    h = evaluate_gap(gap, s, np.full_like(s, 0.5))
+    a, b = coefficient_arrays(roughness.intensity_at(s, np.full_like(s, 0.5)))
+    y = 12.0 * (q_e + h * b * u_bx) / (h**3 * a)
+    pieces = width / (6 * panels) * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1::2].sum(1)
+                                     + 2.0 * y[:, 2:-1:2].sum(1))
+    right = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)  # integral over [cuts[j], 1]
+    return x, -right[np.searchsorted(cuts, x)]
 
 
 def residual_check(system: LinearSystem, solution: PressureSolution) -> float:

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughlub.coefficients import (coefficients, cosine_roughness_intensity, couette_coeff,
-                                   decay_integral, growth_integral,
-                                   poiseuille_coeff, triangle_integral)
+from roughlub.coefficients import coefficients, cosine_roughness_intensity, growth_integral
 
-from oracles import (couette_oracle, decay_oracle, growth_oracle,
-                     poiseuille_oracle, triangle_oracle)
+from oracles import bounded_poiseuille_oracle, couette_oracle, growth_oracle, poiseuille_oracle
 
 ORACLE_INTENSITIES = [0.5, 1.0, 2.0, 5.0, 10.0, 50.0]
 
@@ -32,60 +29,44 @@ class TestKernelIntegrals:
     def test_growth_at_zero(self):
         assert growth_integral(0.0) == pytest.approx(1.0, abs=1e-14)
 
-    def test_decay_at_zero(self):
-        assert decay_integral(0.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_triangle_at_zero(self):
-        assert triangle_integral(0.0) == pytest.approx(0.5, abs=1e-13)
-
-    def test_triangle_separable_at_zero(self):
-        assert triangle_integral(0.0) == pytest.approx(
-            growth_integral(0.0) * decay_integral(0.0) / 2.0, abs=1e-13)
-
     def test_growth_frozen_value(self):
         # independent Simpson oracle value for int_0^1 exp(s^2) ds
         assert growth_integral(2.0) == pytest.approx(1.4626517459071817, abs=1e-12)
 
-    def test_decay_frozen_value(self):
-        assert decay_integral(2.0) == pytest.approx(0.7468241328124271, abs=1e-12)
-
-    def test_triangle_frozen_value(self):
-        assert triangle_integral(2.0) == pytest.approx(0.7226228066941736, abs=1e-10)
-
-    def test_decay_bounded_for_large_intensity(self):
-        assert 0.0 < decay_integral(50.0) < 1.0
-
     @pytest.mark.parametrize("n", ORACLE_INTENSITIES)
     def test_against_simpson_oracle(self, n):
         assert rel_err(growth_integral(n), growth_oracle(n)) <= 1e-9
-        assert rel_err(decay_integral(n), decay_oracle(n)) <= 1e-9
-        assert rel_err(triangle_integral(n), triangle_oracle(n)) <= 1e-9
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-9, 700.1, math.inf, math.nan])
     def test_domain_errors(self, bad):
-        for fn in (growth_integral, decay_integral, triangle_integral):
+        for fn in (growth_integral, coefficients):
             with pytest.raises(ValueError):
                 fn(bad)
 
 
 class TestCoefficients:
     def test_classical_limit_exact(self):
-        assert poiseuille_coeff(0.0) == 1.0
-        assert couette_coeff(0.0) == 0.5
+        assert coefficients(0.0) == (1.0, 0.5)
 
     def test_reference_calibration(self):
         # reported values for the intensity-2 rough patch
-        assert poiseuille_coeff(2.0) == pytest.approx(1.08696, abs=5e-5)
-        assert couette_coeff(2.0) == pytest.approx(0.58739, abs=5e-5)
+        assert coefficients(2.0).a == pytest.approx(1.08696, abs=5e-5)
+        assert coefficients(2.0).b == pytest.approx(0.58739, abs=5e-5)
 
     def test_frozen_values_at_ten(self):
-        assert poiseuille_coeff(10.0) == pytest.approx(1.0509433215487897, abs=1e-9)
-        assert couette_coeff(10.0) == pytest.approx(0.8584428412784121, abs=1e-9)
+        assert coefficients(10.0).a == pytest.approx(1.0509433215487897, abs=1e-9)
+        assert coefficients(10.0).b == pytest.approx(0.8584428412784121, abs=1e-9)
 
     @pytest.mark.parametrize("n", ORACLE_INTENSITIES[:4])
     def test_against_formula_oracle(self, n):
-        assert poiseuille_coeff(n) == pytest.approx(poiseuille_oracle(n), abs=1e-9)
-        assert couette_coeff(n) == pytest.approx(couette_oracle(n), abs=1e-9)
+        assert coefficients(n).a == pytest.approx(poiseuille_oracle(n), abs=1e-9)
+        assert coefficients(n).b == pytest.approx(couette_oracle(n), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10.5, 20.0, 50.0, 200.0, 700.0])
+    def test_poiseuille_against_bounded_oracle(self, n):
+        # above the split, where the formula oracle cancels; this checks the
+        # Gauss rule for E in `_erfcx_mean` (measured: at most 5.1e-15)
+        assert rel_err(coefficients(n).a, bounded_poiseuille_oracle(n)) <= 2e-14
 
     @pytest.mark.parametrize("n, a, b", REFERENCE_PAIRS)
     def test_against_reference_values(self, n, a, b):
@@ -105,27 +86,24 @@ class TestCoefficients:
     def test_continuity_at_closed_form_split(self):
         # power series at N <= 10, Dawson/erfcx closed forms above
         above = np.nextafter(10.0, 11.0)
-        assert abs(poiseuille_coeff(above) - poiseuille_coeff(10.0)) <= 1e-12
-        assert abs(couette_coeff(above) - couette_coeff(10.0)) <= 1e-12
-        for fn in (growth_integral, decay_integral, triangle_integral):
-            assert rel_err(fn(above), fn(10.0)) <= 1e-12
+        assert abs(coefficients(above).a - coefficients(10.0).a) <= 1e-12
+        assert abs(coefficients(above).b - coefficients(10.0).b) <= 1e-12
 
     def test_couette_near_zero(self):
-        assert couette_coeff(1e-8) == pytest.approx(0.5, abs=1e-9)
+        assert coefficients(1e-8).b == pytest.approx(0.5, abs=1e-9)
 
     def test_couette_lower_bound_sweep(self):
         for n in np.arange(0.1, 100.05, 0.1):
-            assert couette_coeff(n) > 0.5
+            assert coefficients(n).b > 0.5
 
     def test_poiseuille_positive_sweep(self):
         for n in np.arange(0.0, 100.05, 0.1):
-            assert poiseuille_coeff(n) > 0.0
+            assert coefficients(n).a > 0.0
 
     def test_pair_helper(self):
         for n in (0.0, 5e-7, 2.0, 3.0, 10.0, math.nextafter(10.0, 11.0), 50.0, 700.0):
             pair = coefficients(n)
-            assert pair.a == poiseuille_coeff(n)
-            assert pair.b == couette_coeff(n)
+            assert tuple(pair) == (pair.a, pair.b)
             if n > 10.0:
                 # above the series, B is (e^{n/2} - 1) / n / I1 with the I1 of
                 # growth_integral, bit for bit

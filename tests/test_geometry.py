@@ -282,7 +282,7 @@ class TestBuildFields:
             assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
     def test_coefficient_invariants_per_cell(self):
-        from roughlub.coefficients import couette_coeff, poiseuille_coeff
+        from roughlub.coefficients import coefficients
         # one region per regime: near zero, series, closed form; smooth elsewhere
         config = ScenarioConfig(nx=6, ny=6, roughness=RoughnessSpec((
             RoughRegion(0.0, 0.0, 0.5, 0.5, n=5e-7),
@@ -291,8 +291,7 @@ class TestBuildFields:
         _, fields = build_fields(config)
         assert set(fields.n_psi) == {0.0, 5e-7, 3.0, 50.0}
         for n, a, b in zip(fields.n_psi, fields.a, fields.b):
-            assert a == poiseuille_coeff(n)
-            assert b == couette_coeff(n)
+            assert (a, b) == coefficients(n)
 
     def test_touching_regions_independent_of_order(self):
         # at nx = 4 the barycenters x = 0.375 lie on the shared edge, where

@@ -191,3 +191,5 @@ def test_paths_run_or_exit_2_with_one_line(config, table, out):
         assert code in (0, 2), (config, table, out, code)
         if code == 2 and config == str(good["config"]) and table == str(file):
             assert "--out" in err, err  # only the output path is at fault
+        if code == 2 and config != str(file) and table == str(file) and out == str(good["out"]):
+            assert "--config" in err, err  # only the config path is at fault
