@@ -6,7 +6,7 @@
         --out BENCH.json
 
 Times `build_fields`, `assemble`, a cold build of the grid's multigrid
-transfers (`transfers`: the solver's transfer slot is emptied, untimed,
+transfers (`transfers`: the solver's transfers cache is emptied, untimed,
 before each call), `solve_linear` (the transfers of its grid already built,
 where the solver keeps them), the `pressure.csv` write, the `fields.csv`
 write (each timed write to a new file; the last one is deleted untimed) and
@@ -99,14 +99,17 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
     system = assemble(grid, fields, config.u_b, config.q_e)
     solution = solve_linear(system, config.tol)
 
-    def empty_slot(k: int) -> tuple:
-        solver._slot = ()  # a tree that builds transfers on every call has no slot to empty
+    def empty_cache(k: int) -> tuple:
+        if hasattr(solver._transfers, "cache_clear"):
+            solver._transfers.cache_clear()
+        else:  # an older tree keeps them in `_slot`, or builds them on every call
+            solver._slot = ()
         return ()
 
     stages = {
         "build_fields": (lambda: build_fields(config),),
         "assemble": (lambda: assemble(grid, fields, config.u_b, config.q_e),),
-        "transfers": (lambda: solver._transfers(grid), empty_slot),
+        "transfers": (lambda: solver._transfers(grid), empty_cache),
         "solve_linear": (lambda: solve_linear(system, config.tol),),
         "pressure_csv": (lambda path: cli._write_pressure_csv(path, grid, solution.p),
                          new_file(tmp, "p")),

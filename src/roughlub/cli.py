@@ -54,8 +54,10 @@ def _load_scenario(config_path: str | None, scenario: str | None,
     if config_path is not None:
         path = Path(config_path)
         try:
-            if not path.is_file():
-                raise ConfigError(f"--config {config_path!r}: file not found")
+            if not path.is_file():  # a FIFO or a device is never read
+                reason = ("is a directory" if path.is_dir() else
+                          "not a regular file" if path.exists() else "file not found")
+                raise ConfigError(f"--config {config_path!r}: {reason}")
             text = path.read_text(encoding="utf-8")
         except OSError as exc:  # unreadable, or a name too long for the system
             raise ConfigError(f"--config {config_path!r}: {exc.strerror or exc}") from None

@@ -36,12 +36,13 @@ the coefficients' ``_N_LARGE`` = 10.  With a = n/2 and r = sqrt(a):
   at 128 lose 4e-14; Davis & Rabinowitz, Methods of Numerical Integration,
   2nd ed., 1984, section 2.7, for the error term).
 
-The samples, the n <= 10 power table z^(2k) and the unit Gauss positions
-Z_j + dZ_j x_i of the n > 10 rule depend on z_count alone.  They form the
-sample plan, kept read-only in one per-process slot (``_sample_plan``):
-the first profile on a z_count builds the part its branch reads, later
-ones reuse it, and another z_count empties the slot before its own plan
-is built.  No returned profile shares an array with the slot.
+The samples with the n <= 10 power table z^(2k) (``_power_table``), and
+the samples with the unit Gauss positions Z_j + dZ_j x_i of the n > 10 rule
+(``_gauss_rule``), depend on z_count alone.  Each table is read-only and
+kept for the last z_count asked for, by the solver's ``_last_key_cache``:
+the first profile on a z_count builds the table its branch reads, later
+ones reuse it, and another z_count releases that table before building
+its own.  No returned profile shares an array with a table.
 
 A profile takes at most ``Z_COUNT_MAX`` intervals, checked before any array
 is built.  h1, grad_p and u_b must be finite, and so must h1**2 max(1,
@@ -52,14 +53,13 @@ coefficient-level flux.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import _N_LARGE, _SERIES, _check_intensity, coefficients
 from .geometry import Grid, RoughnessSpec
-from .solver import PressureSolution
+from .solver import PressureSolution, _last_key_cache
 
 
 @dataclass(frozen=True)
@@ -84,70 +84,60 @@ class ComparisonReport:
 
 
 # Largest z_count.  A profile then peaks at about 29 MB with n <= 10, for
-# the 25 MB power table it keeps in the slot, and at about 9 MB above.
+# the 25 MB power table it keeps, and at about 9 MB above; the two tables
+# held between profiles take at most 25.7 MB and 3.1 MB.
 Z_COUNT_MAX = 2**16
 
 
-def _power_table(z: np.ndarray) -> dict[str, np.ndarray]:
-    """z^(2k) on the samples, one column per term of the n <= 10 series."""
-    return {"powers": np.vander(z * z, len(_SERIES), increasing=True)}
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`arrays`, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _gauss_rule(z: np.ndarray) -> dict[str, np.ndarray]:
-    """The unit positions Z_j + dZ_j x_i, one row per interval, the weights
-    and dZ of the m-node Gauss rule of L(Z) (module docstring)."""
-    z_count = z.size - 1
+@_last_key_cache
+def _power_table(z_count: int) -> tuple[np.ndarray, ...]:
+    """The z_count + 1 samples z and z^(2k) on them, one column per term of
+    the n <= 10 series; read-only."""
+    z = np.linspace(0.0, 1.0, z_count + 1)
+    return _read_only(z, np.vander(z * z, len(_SERIES), increasing=True))
+
+
+@_last_key_cache
+def _gauss_rule(z_count: int) -> tuple[np.ndarray, ...]:
+    """The z_count + 1 samples z, the unit positions Z_j + dZ_j x_i (one row
+    per interval), the weights and dZ of the m-node Gauss rule of L(Z)
+    (module docstring); read-only."""
+    z = np.linspace(0.0, 1.0, z_count + 1)
     nodes, weights = np.polynomial.legendre.leggauss(
         16 if z_count < 32 else 8 if z_count < 256 else 4)
     dz = np.diff(z)
-    return {"positions": np.multiply.outer(dz, 0.5 * (nodes + 1.0)) + z[:-1, None],
-            "weights": 0.5 * weights, "dz": dz}
-
-
-_PLAN_PARTS = {"powers": _power_table, "positions": _gauss_rule}
-_slot_lock = threading.Lock()
-_slot: dict[str, np.ndarray] = {}  # the sample plan of the last z_count, or empty
-
-
-def _sample_plan(z_count: int, part: str) -> dict[str, np.ndarray]:
-    """The plan of the last z_count asked for, kept in one slot: the samples
-    `z` and, built on first use, `part` ("powers" or "positions").  Another
-    z_count empties the slot before its own plan is built; every array in
-    the plan is read-only, and a returned plan is never changed."""
-    global _slot
-    with _slot_lock:
-        if "z" not in _slot or _slot["z"].size != z_count + 1:
-            _slot = {}
-            _slot = {"z": np.linspace(0.0, 1.0, z_count + 1)}
-        if part not in _slot:
-            _slot = {**_slot, **_PLAN_PARTS[part](_slot["z"])}
-            for array in _slot.values():
-                array.flags.writeable = False
-        return _slot
+    positions = np.multiply.outer(dz, 0.5 * (nodes + 1.0)) + z[:-1, None]
+    return _read_only(z, positions, 0.5 * weights, dz)
 
 
 def _dawson_primitive(r: float, z_count: int) -> np.ndarray:
-    """L(Z) = int_0^Z dawsn(r s)/r ds on the z_count + 1 samples of the plan."""
+    """L(Z) = int_0^Z dawsn(r s)/r ds on the z_count + 1 samples."""
     from scipy.special import dawsn  # deferred, as in .coefficients
-    plan = _sample_plan(z_count, "positions")
-    s = plan["positions"] * r
-    pieces = dawsn(s, out=s) @ plan["weights"]
-    pieces *= plan["dz"] / r
+    _, positions, weights, dz = _gauss_rule(z_count)
+    s = positions * r
+    pieces = dawsn(s, out=s) @ weights
+    pieces *= dz / r
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def _kernel_profile(n: float, z_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The plan's samples Z (read-only), K(Z)/K(1) and J(Z) - J(1) K(Z)/K(1)."""
+    """The samples Z (read-only), K(Z)/K(1) and J(Z) - J(1) K(Z)/K(1)."""
     if n <= _N_LARGE:
-        plan = _sample_plan(z_count, "powers")
-        z, a = plan["z"], 0.5 * n
-        kj = plan["powers"] @ (_SERIES[:, :2] * a ** np.arange(len(_SERIES))[:, None])
+        z, powers = _power_table(z_count)
+        kj = powers @ (_SERIES[:, :2] * (0.5 * n) ** np.arange(len(_SERIES))[:, None])
         ratio, poiseuille = z * kj[:, 0], z * z * kj[:, 1]  # K(Z), J(Z)
         ratio /= ratio[-1]
         poiseuille -= poiseuille[-1] * ratio
     else:
         from scipy.special import dawsn, erfcx  # deferred, as in .coefficients
-        z = _sample_plan(z_count, "positions")["z"]
+        z = _gauss_rule(z_count)[0]
         r = math.sqrt(0.5 * n)
         rz = r * z
         damp = np.exp(-0.5 * n * (1.0 - z * z))

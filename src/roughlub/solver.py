@@ -34,11 +34,13 @@ on a stretched grid the short side waits (semi-coarsening).  Every grid
 thus coarsens down to the dense level, and the iteration count stays
 bounded under refinement and on stretched and odd grids.  The interpolation
 and restriction matrices depend on the grid alone, so `_transfers(grid)`
-caches them per process in one slot: solves on the grid of the last solve
-reuse them, and each solve builds only its coarse operators and the dense
-coarsest inverse on them.  Between solves the slot holds about 77 bytes per
-cell (0.44 MiB at 96x64, 4.8 MiB at 256x256, 78 MiB at 1024x1024); a solve on
-another grid releases it before building that grid's transfers.
+keeps those of the last grid asked for, by `_last_key_cache`, the one cache
+policy of the package (`postprocess` keeps its profile tables by it too):
+solves on the grid of the last solve reuse them, and each solve builds only
+its coarse operators and the dense coarsest inverse on them.  Between solves
+they hold about 77 bytes per cell (0.44 MiB at 96x64, 4.8 MiB at 256x256,
+78 MiB at 1024x1024); a solve on another grid releases them before building
+that grid's transfers.
 
 ``scipy.sparse`` is imported inside the functions that build matrices, on
 the first assembly: importing it costs about 0.3 s, which `import roughlub`,
@@ -48,6 +50,7 @@ without ever solving.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -191,22 +194,31 @@ def _interpolation_1d(n: int, coarse: int, flip: bool, free: slice) -> sp.csr_ma
                          shape=(keep.shape[0], stop - first))
 
 
-_slot_lock = threading.Lock()
-_slot: tuple = ()  # (grid, its transfers) of the last grid solved on, or empty
+def _last_key_cache(build):
+    """`build(key)` kept for the last key only, under one lock.
+
+    A call with the last key returns the held value.  Another key empties
+    the slot before `build` runs, so the values of two keys never coexist.
+    Keys are hashable, and `build` never returns None.  `cache_clear()`
+    empties the slot; `__wrapped__` is `build`.
+    """
+    lock = threading.Lock()
+    slot = {}  # {last key: its value}, or empty
+
+    @functools.wraps(build)
+    def cached(key):
+        with lock:
+            if (held := slot.get(key)) is None:
+                slot.clear()
+                held = slot[key] = build(key)
+            return held
+
+    cached.cache_clear = slot.clear  # atomic, and `cached` reads the slot once
+    return cached
 
 
+@_last_key_cache
 def _transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-    """The `_build_transfers(grid)` of the last grid asked for, kept in one
-    slot; another grid empties the slot before its own transfers are built."""
-    global _slot
-    with _slot_lock:
-        if not _slot or _slot[0] != grid:
-            _slot = ()
-            _slot = (grid, _build_transfers(grid))
-        return _slot[1]
-
-
-def _build_transfers(grid: Grid) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
     """(restrict, prolong) from each multigrid level to the next coarser one.
 
     P = kron(P_y, P_x) on the free-node lattice: the slices of

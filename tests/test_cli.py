@@ -535,6 +535,25 @@ class TestSolve:
         assert err == "error: either --config or --scenario is required\n"
         assert not (tmp_path / "out").exists()
 
+    def test_directory_config_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--config", str(tmp_path),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == f"error: --config {str(tmp_path)!r}: is a directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_config_exits_2_without_blocking(self, tmp_path):
+        # reading a FIFO without a writer would block; a fresh interpreter
+        # under a timeout keeps a regression from hanging the suite
+        fifo = tmp_path / "scenario.cfg"
+        os.mkfifo(fifo)
+        result = run_python("-m", "roughlub.cli", "solve", "--config", str(fifo),
+                            "--out", str(tmp_path / "out"))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: --config {str(fifo)!r}: not a regular file\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exits_2(self, capsys, monkeypatch, tmp_path):
         # the read fails as it does for a file without read permission;
         # chmod cannot take that permission away from root
@@ -864,18 +883,17 @@ class TestCompare:
     def test_two_solves_share_one_set_of_transfers(self, capsys, tmp_path, monkeypatch):
         # in one process, a compare and then two solves on its grid build the
         # multigrid transfers once; every file equals the one written after the
-        # transfer slot is emptied (a cold build), and each solve's pressure
+        # transfers cache is emptied (a cold build), and each solve's pressure
         # file equals the compare's file of the same roughness
         from roughlub import solver
         built = []
-        real_build = solver._build_transfers
+        real_build = solver._transfers.__wrapped__
 
         def spy_build(grid):
             built.append(grid)
             return real_build(grid)
 
-        monkeypatch.setattr(solver, "_build_transfers", spy_build)
-        monkeypatch.setattr(solver, "_slot", ())
+        monkeypatch.setattr(solver, "_transfers", solver._last_key_cache(spy_build))
         grid = ["--nx", "97", "--ny", "31"]
         runs = {"cmp": ("compare", "fig3"), "fig2": ("solve", "fig2"),
                 "fig3": ("solve", "fig3")}
@@ -891,7 +909,7 @@ class TestCompare:
                        "--out", str(tmp_path / "warm" / name))[0] == 0
         assert len(built) == 1
         for name, (command, scenario) in runs.items():
-            monkeypatch.setattr(solver, "_slot", ())
+            solver._transfers.cache_clear()
             assert run(capsys, command, "--scenario", scenario, *grid,
                        "--out", str(tmp_path / "cold" / name))[0] == 0
             assert files(tmp_path / "warm" / name) == files(tmp_path / "cold" / name)

@@ -89,7 +89,7 @@ class TestVelocityProfile:
         assert np.abs(lz - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_peak_memory_at_4096_intervals(self):
-        # 4 Gauss nodes per interval, their positions held in the plan slot:
+        # 4 Gauss nodes per interval, their positions held by `_gauss_rule`:
         # about 0.36 MB; 16 nodes built on every call took 0.9 MB, and a
         # 64-node rule on every [0, Z_j] 4.4 MB
         velocity_profile(1.0, 700.0, (1.0, 0.0), (1.0, 0.0), z_count=4096)
@@ -112,20 +112,25 @@ class TestPlanSlot:
     def profile(n, z_count):
         return velocity_profile(1.2, n, (0.8, -1.3), (1.0, 0.4), z_count=z_count)
 
-    def cold_profiles(self, z_counts, monkeypatch):
+    @staticmethod
+    def clear_tables():
+        postprocess._power_table.cache_clear()
+        postprocess._gauss_rule.cache_clear()
+
+    def cold_profiles(self, z_counts):
         cold = {}
         for z_count in z_counts:
             for n in self.INTENSITIES:
-                monkeypatch.setattr(postprocess, "_slot", {})
+                self.clear_tables()
                 cold[n, z_count] = self.profile(n, z_count)
-        monkeypatch.setattr(postprocess, "_slot", {})
+        self.clear_tables()
         return cold
 
-    def test_z_counts_in_turn_match_cold_profiles(self, monkeypatch):
+    def test_z_counts_in_turn_match_cold_profiles(self):
         # A, B, A, C, A, each branch first in turn: no profile reads another
-        # z_count's plan, and each equals a profile from an empty slot
+        # z_count's tables, and each equals a profile from empty caches
         a, b, c = self.Z_COUNTS
-        cold = self.cold_profiles(self.Z_COUNTS, monkeypatch)
+        cold = self.cold_profiles(self.Z_COUNTS)
         for k, z_count in enumerate((a, b, a, c, a)):
             for n in self.INTENSITIES[::1 if k % 2 else -1]:
                 profile = self.profile(n, z_count)
@@ -134,20 +139,16 @@ class TestPlanSlot:
 
     def test_slot_released_before_the_next_plan_is_built(self, monkeypatch):
         # A's power table is gone, without the cyclic collector, before the
-        # power table of B is allocated
-        monkeypatch.setattr(postprocess, "_slot", {})
-        self.profile(2.0, 64)
-        ref = weakref.ref(postprocess._slot["powers"])
-        self.profile(2.0, 64)
-        assert postprocess._slot["powers"] is ref()  # a hit reads the held table
-        alive = []
-        build = postprocess._PLAN_PARTS["powers"]
+        # power table of B is built
+        build, refs, alive = postprocess._power_table.__wrapped__, [], []
 
-        def spy(z):
-            alive.append(ref() is not None)
-            return build(z)
+        def spy(z_count):
+            alive.append(any(ref() is not None for ref in refs))
+            return build(z_count)
 
-        monkeypatch.setitem(postprocess._PLAN_PARTS, "powers", spy)
+        monkeypatch.setattr(postprocess, "_power_table", postprocess._last_key_cache(spy))
+        self.profile(2.0, 64)
+        refs.append(weakref.ref(postprocess._power_table(64)[1]))  # a hit
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -155,10 +156,10 @@ class TestPlanSlot:
         finally:
             if was_enabled:
                 gc.enable()
-        assert alive == [False]
+        assert alive == [False, False]
 
-    def test_profiles_do_not_share_the_plan(self, monkeypatch):
-        cold = self.cold_profiles((64,), monkeypatch)
+    def test_profiles_do_not_share_the_plan(self):
+        cold = self.cold_profiles((64,))
         for n in self.INTENSITIES:
             profile = self.profile(n, 64)
             profile.z[:] = -1.0
@@ -166,36 +167,8 @@ class TestPlanSlot:
             again = self.profile(n, 64)
             assert np.array_equal(again.z, cold[n, 64].z)
             assert np.array_equal(again.u, cold[n, 64].u)
-        assert not any(a.flags.writeable for a in postprocess._slot.values())
-
-    def test_concurrent_profiles_on_other_z_counts_match_cold_profiles(self, monkeypatch):
-        # four threads, one z_count each, with frequent thread switches: a
-        # profile that read another z_count's plan would fail on its shape or
-        # differ from a cold profile
-        import sys
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        z_counts = (31, 64, 255, 1024)
-        cold = self.cold_profiles(z_counts, monkeypatch)
-        start = threading.Barrier(len(z_counts), timeout=60)
-
-        def profile_many(z_count):
-            start.wait()
-            return [(n, self.profile(n, z_count).u)
-                    for _ in range(6) for n in self.INTENSITIES]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=len(z_counts)) as pool:
-                futures = [pool.submit(profile_many, z_count) for z_count in z_counts]
-                results = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for z_count, profiles in zip(z_counts, results):
-            assert len(profiles) == 12
-            assert all(np.array_equal(u, cold[n, z_count].u) for n, u in profiles)
+        tables = (*postprocess._power_table(64), *postprocess._gauss_rule(64))
+        assert len(tables) == 6 and not any(a.flags.writeable for a in tables)
 
 
 class TestFlux:

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughlub import solver
-from roughlub.geometry import (GapProfile, Grid, RoughnessSpec, RoughRegion,
-                               ScenarioConfig, build_fields)
+from roughlub.geometry import (CoefficientFields, GapProfile, Grid, RoughnessSpec,
+                               RoughRegion, ScenarioConfig, build_fields)
 from roughlub.solver import ConvergenceError, assemble, solve_linear, solve_reynolds
 
 from oracles import oracle_1d, residual_check, simpson
@@ -61,6 +61,29 @@ class TestAssemble:
         # edge and cancels the flux term exactly when q_e = -b * h * ubx
         _, system = assembled(flat_config(nx=16, ny=16, q_e=-0.5))
         assert np.linalg.norm(system.rhs) <= 1e-14
+
+    def test_y_shear_load_is_the_transposed_x_shear_load(self):
+        # the x <-> y mirror maps the lower-left to upper-right diagonals onto
+        # themselves, so on an n x n grid the load of U_b = (0, u) on the
+        # transposed data is the transposed load of U_b = (u, 0), at the
+        # interior nodes, where the sides' conditions do not enter
+        n = 12
+        grid = Grid(n, n, y_sides_natural=True)
+        h1_bar, a, b = np.random.default_rng(5).uniform(0.2, 2.0, (3, n, n))
+
+        def interior_load(u_b, transpose):
+            cells = (np.zeros((n, n)), a, b, h1_bar)
+            fields = CoefficientFields(*(c.T.ravel() if transpose else c.ravel()
+                                         for c in cells))
+            system = assemble(grid, fields, u_b, 0.0)
+            load = np.zeros(grid.n_nodes)
+            load[system.free_nodes] = system.rhs
+            return load.reshape(n + 1, n + 1)[1:-1, 1:-1]
+
+        x_load = interior_load((0.7, 0.0), transpose=False)
+        y_load = interior_load((0.0, 0.7), transpose=True)
+        assert np.abs(x_load).max() > 0.01
+        assert np.array_equal(y_load.T, x_load)
 
     def test_five_point_stencil_structure(self):
         # the diagonal of each cell couples nothing, so only the diagonal and
@@ -155,12 +178,23 @@ class TestSolveLinear:
         residual = float(re.search(r"relative residual (\S+)", str(failure.value))[1])
         assert residual <= 2e-12
 
-    def test_restart_then_converges(self):
+    def test_restart_then_converges(self, monkeypatch):
         # 104x4 with natural y sides: at iteration 9 the recurrence residual
         # reads 9.0e-13 but the true one 1.078e-12, so CG restarts from the
-        # true residual once and stops at iteration 10 at 3.3e-13
+        # true residual once and stops at iteration 10 at 3.3e-13.  A solve
+        # takes 1 + 3 iterations + checks `_dot`s, one per true-residual check
         _, system = assembled(ScenarioConfig(nx=104, ny=4, y_sides_natural=True))
+        dots = []
+        dot = solver._dot
+
+        def spy(u, v):
+            dots.append(None)
+            return dot(u, v)
+
+        monkeypatch.setattr(solver, "_dot", spy)
         solution = solve_linear(system, tol=1e-12)
+        assert solution.iterations == 10
+        assert len(dots) - 1 - 3 * solution.iterations == 2  # one failed check, one passed
         assert solution.residual <= 1e-12
         assert residual_check(system, solution) <= 1e-12
 
@@ -321,6 +355,61 @@ class TestMultigrid:
                 gc.enable()
 
 
+class TestLastKeyCache:
+    def test_hit_returns_the_held_value(self):
+        built = []
+
+        @solver._last_key_cache
+        def cached(key):
+            built.append(key)
+            return [key]
+
+        a = cached(1)
+        assert cached(1) is a and built == [1]
+        assert cached(2) == [2] and built == [1, 2]
+        assert cached(1) is not a and built == [1, 2, 1]
+        cached.cache_clear()
+        assert cached(1) == [1] and built == [1, 2, 1, 1]
+
+    def test_each_key_gets_its_own_value_under_thread_switching(self):
+        # four threads, one key each, with frequent thread switches inside the
+        # build: builds never overlap, and every call returns its own key's value
+        import sys
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        building = []  # keys whose build is running
+        overlaps = []
+
+        @solver._last_key_cache
+        def cached(key):
+            building.append(key)
+            time.sleep(0)
+            overlaps.append(len(building) > 1)
+            building.remove(key)
+            return [key]
+
+        keys = range(4)
+        start = threading.Barrier(len(keys), timeout=60)
+
+        def call_many(key):
+            start.wait()
+            return [cached(key)[0] for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(keys)) as pool:
+                futures = [pool.submit(call_many, key) for key in keys]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [set(values) for values in results] == [{key} for key in keys]
+        assert all(len(values) == 200 for values in results)
+        assert overlaps and not any(overlaps)
+
+
 class TestTransferSlot:
     # grid A, then grids that differ from it in one of nx, ny, y_sides_natural
     GRIDS = (ScenarioConfig(nx=40, ny=24, roughness=FIG3),
@@ -328,73 +417,41 @@ class TestTransferSlot:
              ScenarioConfig(nx=33, ny=24, roughness=FIG3),
              ScenarioConfig(nx=40, ny=17, roughness=FIG3))
 
-    @staticmethod
-    def cold_solve(config, monkeypatch):
-        monkeypatch.setattr(solver, "_slot", ())
-        return solve_reynolds(config)
-
-    def test_grids_in_turn_match_cold_solves(self, monkeypatch):
+    def test_grids_in_turn_match_cold_solves(self):
         # A, B, A, C, A, D, A: no solve reuses another grid's transfers, and
         # each equals a cold solve
         a, b, c, d = self.GRIDS
-        cold = {config: self.cold_solve(config, monkeypatch) for config in self.GRIDS}
-        monkeypatch.setattr(solver, "_slot", ())
+        cold = {}
+        for config in self.GRIDS:
+            solver._transfers.cache_clear()
+            cold[config] = solve_reynolds(config)
+        solver._transfers.cache_clear()
         for config in (a, b, a, c, a, d, a):
             solution = solve_reynolds(config)
             assert np.array_equal(solution.p, cold[config].p)
             assert solution.iterations == cold[config].iterations
 
-    def test_concurrent_solves_on_other_grids_match_cold_solves(self, monkeypatch):
-        # four threads, one per grid, with frequent thread switches: a solve
-        # that used another grid's transfers would fail on their shape or
-        # differ from a cold solve
-        import sys
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        cold = {config: self.cold_solve(config, monkeypatch).p for config in self.GRIDS}
-        start = threading.Barrier(len(self.GRIDS), timeout=60)
-
-        def solve_many(config):
-            start.wait()
-            return [solve_reynolds(config).p for _ in range(6)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=len(self.GRIDS)) as pool:
-                futures = [pool.submit(solve_many, config) for config in self.GRIDS]
-                results = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for config, pressures in zip(self.GRIDS, results):
-            assert len(pressures) == 6
-            assert all(np.array_equal(p, cold[config]) for p in pressures)
-
     def test_slot_released_before_the_next_grid_is_built(self, monkeypatch):
         # grid A's finest prolongation is gone, without the cyclic collector,
-        # before the first interpolation matrix of grid B is allocated
+        # before the transfers of grid B are built
         grid_a, _ = build_fields(self.GRIDS[0])
-        grid_b, _ = build_fields(self.GRIDS[2])
-        monkeypatch.setattr(solver, "_slot", ())
-        ref = weakref.ref(solver._transfers(grid_a)[0][1])
-        assert solver._transfers(grid_a)[0][1] is ref()  # a hit returns the held pair
-        alive = []
-        interpolation = solver._interpolation_1d
+        build, refs, alive = solver._transfers.__wrapped__, [], []
 
-        def spy(*args):
-            alive.append(ref() is not None)
-            return interpolation(*args)
+        def spy(grid):
+            alive.append(any(ref() is not None for ref in refs))
+            return build(grid)
 
-        monkeypatch.setattr(solver, "_interpolation_1d", spy)
+        monkeypatch.setattr(solver, "_transfers", solver._last_key_cache(spy))
+        solve_reynolds(self.GRIDS[0])
+        refs.append(weakref.ref(solver._transfers(grid_a)[0][1]))  # a hit
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            solver._transfers(grid_b)
+            solve_reynolds(self.GRIDS[2])
         finally:
             if was_enabled:
                 gc.enable()
-        assert alive and not any(alive)
+        assert alive == [False, False]
 
 
 class TestResidualCheck:
