@@ -60,7 +60,7 @@ import time
 from pathlib import Path
 
 SCHEMA = "roughlub-stage-times/1"
-SIZES = (64, 128, 250, 256, 512)
+SIZES = (64, 128, 250, 256, 512, 1024)
 CASES = ("design-96x64", *(f"fig3-{n}" for n in SIZES), "fields-random-256", "pointwise")
 DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
           "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"

@@ -29,7 +29,8 @@ from . import postprocess
 from .coefficients import N_MAX, coefficients
 from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion,
                        ScenarioConfig, build_fields, evaluate_gap, load_config)
-from .solver import ConvergenceError, PressureSolution, solve_fields
+from .solver import (ConvergenceError, PressureSolution, assemble, solve_fields,
+                     solve_linear)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -153,10 +154,19 @@ def cmd_solve(args) -> int:
     import scipy.sparse  # noqa: F401
     start = time.perf_counter()
     grid, fields = build_fields(config)
-    solution, = solve_fields(config, grid, fields)
+    system = assemble(grid, fields, config.u_b, config.q_e)
     wall = time.perf_counter() - start
-    _write_pressure_csv(out / "pressure.csv", grid, solution.p)
+    # written now, so that CG runs without the fields; a failed solve removes it
     _write_fields_csv(out / "fields.csv", grid, fields)
+    del fields
+    start = time.perf_counter()
+    try:
+        solution = solve_linear(system, config.tol)
+    except BaseException:
+        (out / "fields.csv").unlink(missing_ok=True)
+        raise
+    wall += time.perf_counter() - start
+    _write_pressure_csv(out / "pressure.csv", grid, solution.p)
     files = ["pressure.csv", "fields.csv"]
     _write_manifest(out / "manifest.txt", args.scenario or "custom", config,
                     files, solution, wall)
@@ -171,8 +181,7 @@ def cmd_velocity(args) -> int:
     for flag, value in (("--x", args.x), ("--y", args.y)):
         if not 0.0 < value < 1.0:  # false for nan as well
             raise ConfigError(f"{flag} must be inside (0, 1), got {value}")
-    grid, fields = build_fields(config)
-    solution, = solve_fields(config, grid, fields)
+    (grid, solution), = solve_fields(config)
     # the gap and intensity at the point itself, not at its cell's barycenter
     profile = postprocess.velocity_profile(
         evaluate_gap(config.gap, args.x, args.y), config.roughness.intensity_at(args.x, args.y),
@@ -187,11 +196,10 @@ def cmd_compare(args) -> int:
     if not config.roughness.regions:
         raise ConfigError("compare needs a scenario with at least one rough region")
     out = _output_dir(args.out)
-    grid, fields = build_fields(config)
-    # the smooth run differs in its roughness alone, so it has the same grid,
-    # and both solves share its multigrid transfers
-    _, smooth_fields = build_fields(dataclasses.replace(config, roughness=RoughnessSpec()))
-    p_smooth, p_rough = solve_fields(config, grid, smooth_fields, fields)
+    # smooth, then rough: the smooth run differs in its roughness alone, so it
+    # has the same grid, and both solves share its multigrid transfers
+    (_, p_smooth), (grid, p_rough) = solve_fields(
+        dataclasses.replace(config, roughness=RoughnessSpec()), config)
     report = postprocess.compare_fields(p_smooth, p_rough, grid, config.roughness)
     _write_pressure_csv(out / "pressure_smooth.csv", grid, p_smooth.p)
     _write_pressure_csv(out / "pressure_rough.csv", grid, p_rough.p)

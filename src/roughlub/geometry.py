@@ -12,6 +12,8 @@ smeared by averaging.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,7 +22,7 @@ import numpy as np
 from .coefficients import N_MAX, coefficient_arrays, cosine_roughness_intensity
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
-MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve needs about 300 bytes per cell
+MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve peaks near 285 bytes per cell
 
 
 class ConfigError(ValueError):
@@ -257,8 +259,12 @@ class ScenarioConfig:
 def _read_table(path: str) -> np.ndarray:
     # np.loadtxt would fetch a path that looks like a URL; a handle is a file.
     # It warns, instead of raising, on a file without data rows.  utf-8-sig
-    # skips the byte-order mark that some spreadsheet programs write.
+    # skips the byte-order mark that some spreadsheet programs write.  A FIFO
+    # or a device is never opened: opening a FIFO waits for a writer.
     try:
+        mode = os.stat(path).st_mode
+        if not stat.S_ISREG(mode):
+            raise ValueError("is a directory" if stat.S_ISDIR(mode) else "not a regular file")
         with open(path, encoding="utf-8-sig") as f, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             return np.loadtxt(f, delimiter=",", ndmin=2)

@@ -137,6 +137,7 @@ def _stiffness(grid: Grid, k_cell: np.ndarray) -> sp.csr_matrix:
     east[:, -1] = 0.0                     # the last free column's east neighbour is pinned
     x_link = -east.ravel()[:-1]           # unknown i to unknown i + 1
     y_link = -north.ravel()[:-nx]         # unknown i to unknown i + nx (the row above)
+    del k, west, east, south, north       # released before the matrix is built
     return sp.diags([y_link, x_link, diagonal, x_link, y_link],
                     [-nx, -1, 0, 1, nx], format="csr")
 
@@ -291,31 +292,37 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
     BLAS thread counts: the reductions of CG are `_dot`s.
     """
     m = system.matrix
-    full = np.zeros(system.grid.n_nodes)
     b_max = float(np.abs(system.rhs).max())
     if b_max == 0.0:
-        return PressureSolution(p=full, iterations=0, residual=0.0)
+        return PressureSolution(p=np.zeros(system.grid.n_nodes), iterations=0, residual=0.0)
     # scaling by a power of two commutes exactly with every operation of CG, so
     # b is scaled up until its largest entry is at least 1/2, and the norms of
     # tiny data do not underflow; larger data are not scaled down, so overflow
     # still shows as a nan residual
     shift = -min(math.frexp(b_max)[1], 0)
-    b = np.ldexp(system.rhs, shift)
+    b = np.ldexp(system.rhs, shift) if shift else system.rhs
     b_norm = math.sqrt(_dot(b, b))
 
     levels = _hierarchy(system)
     x = np.zeros(b.size)
     r = b.copy()
-    d = None  # no direction yet: CG starts, or restarts, from d = z
+    d = np.empty(b.size)
+    rz = None  # no direction yet: CG starts, or restarts, from d = z
+    # the updates run in place, in the order and on the operands of
+    # d = z + beta d, x += alpha d and r -= alpha Ad, so the bits do not move
     for iterations in range(1, MAX_ITER + 1):
         z = _vcycle(levels, r)
         rz_next = _dot(r, z)
-        d = z if d is None else z + (rz_next / rz) * d
+        if rz is None:
+            d[:] = z
+        else:
+            d *= rz_next / rz
+            d += z
         rz = rz_next
         ad = m @ d
         alpha = rz / _dot(d, ad)
-        x += alpha * d
-        r -= alpha * ad
+        x += np.multiply(d, alpha, out=z)  # z is dead once d holds it
+        r -= np.multiply(ad, alpha, out=ad)
         r_norm = math.sqrt(_dot(r, r))
         if not math.isfinite(r_norm):
             residual = math.nan  # no later iterate is finite either
@@ -328,28 +335,39 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
                 break
             # restart from the true residual: the old direction and r.z belong to
             # the drifted recurrence residual, and keeping them makes it grow
-            r, d = true_r, None
+            r, rz = true_r, None
     if not residual <= tol:  # a nan residual fails too
         raise ConvergenceError(
             f"CG did not converge in {iterations} iterations "
             f"(relative residual {residual:.3e} > tol {tol:.3e})")
 
-    full[system.free_nodes] = np.ldexp(x, -shift)
-    return PressureSolution(p=full, iterations=iterations, residual=residual,
+    grid = system.grid
+    full = np.zeros((grid.ny + 1, grid.nx + 1))
+    free = full[grid.free_lattice()]  # a view: the free nodes need no index array
+    free[...] = np.ldexp(x, -shift, out=x).reshape(free.shape)
+    return PressureSolution(p=full.ravel(), iterations=iterations, residual=residual,
                             levels=tuple(level.matrix.shape[0] for level in levels))
 
 
-def solve_fields(config: ScenarioConfig, grid: Grid,
-                 *fields: CoefficientFields) -> tuple[PressureSolution, ...]:
-    """Assembly -> linear solve of each of `fields` on the grid built for `config`.
+def _solve(config: ScenarioConfig) -> tuple[Grid, PressureSolution]:
+    grid, fields = build_fields(config)
+    system = assemble(grid, fields, config.u_b, config.q_e)
+    del fields  # CG reads the system alone
+    return grid, solve_linear(system, config.tol)
 
-    The solves share one set of multigrid transfers (`_transfers`).
+
+def solve_fields(*configs: ScenarioConfig) -> tuple[tuple[Grid, PressureSolution], ...]:
+    """Fields -> assembly -> linear solve of each of `configs`, one after another.
+
+    Each config's coefficient fields are released once its system is
+    assembled, before its CG starts, so no CG runs beside coefficient fields
+    and no two configs' fields coexist.  Solves on one grid share one set of
+    multigrid transfers (`_transfers`).  Returns (grid, solution) per config.
     """
-    return tuple(solve_linear(assemble(grid, cell_data, config.u_b, config.q_e), config.tol)
-                 for cell_data in fields)
+    return tuple(_solve(config) for config in configs)
 
 
 def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
     """Full pipeline: fields -> assembly -> linear solve."""
-    return solve_fields(config, *build_fields(config))[0]
+    return solve_fields(config)[0][1]
 

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import os
 import subprocess
@@ -187,6 +188,38 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path, command):
                         for path in out.iterdir()})
     assert len(outputs[0]) == (3 if command == "solve" else 4)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, extra, starts", [
+    ("solve", ["--out", "out"], 1),
+    ("compare", ["--out", "out"], 2),
+    ("velocity", ["--x", "0.7", "--y", "0.5"], 1),
+])
+def test_no_coefficient_fields_live_when_cg_starts(capsys, monkeypatch, tmp_path,
+                                                   command, extra, starts):
+    # CG reads the assembled system alone, so every command releases the
+    # coefficient fields of a run before its CG starts
+    from roughlub import solver
+    from roughlub.geometry import CoefficientFields
+
+    def live_fields():
+        gc.collect()
+        return sum(isinstance(o, CoefficientFields) for o in gc.get_objects())
+
+    live_at_start = []
+    solve_linear = solver.solve_linear
+
+    def spy(system, tol=1e-10):
+        live_at_start.append(live_fields() - before)
+        return solve_linear(system, tol)
+
+    monkeypatch.setattr(solver, "solve_linear", spy)
+    monkeypatch.setattr(cli, "solve_linear", spy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.cfg").write_text(ROUGH_DOC)
+    before = live_fields()
+    assert run(capsys, command, "--config", "scenario.cfg", *extra)[0] == 0
+    assert live_at_start == [0] * starts
 
 
 def test_oversized_grid_exits_2_before_allocating(tmp_path):
@@ -554,6 +587,28 @@ class TestSolve:
         assert result.stderr == f"error: --config {str(fifo)!r}: not a regular file\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_or_directory_table_exits_2_without_blocking(self, capsys, tmp_path):
+        # opening a FIFO waits for a writer, so the table is checked first;
+        # the FIFO runs in a fresh interpreter under a timeout
+        table = tmp_path / "table.csv"
+        os.mkfifo(table)
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SMOOTH_DOC + f"gap.kind = tabulated\ngap.table_path = {table}\n")
+        result = run_python("-m", "roughlub.cli", "solve", "--config", str(config),
+                            "--out", str(tmp_path / "out"))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (f"error: key 'gap.table_path': cannot read {str(table)!r}: "
+                                 "not a regular file\n")
+        table.unlink()
+        table.mkdir()
+        code, out, err = run(capsys, "solve", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: key 'gap.table_path': cannot read {str(table)!r}: "
+                       "is a directory\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exits_2(self, capsys, monkeypatch, tmp_path):
         # the read fails as it does for a file without read permission;
         # chmod cannot take that permission away from root
@@ -683,13 +738,15 @@ class TestSolve:
     @pytest.mark.parametrize("line", ["inlet.flux = 1e200", "inlet.flux = 1e154",
                                       "velocity.ubx = 1e308"])
     def test_overflowing_data_exits_1_without_csv(self, capsys, tmp_path, line):
+        # `solve` writes fields.csv before its CG and removes it when CG fails
         config = tmp_path / "huge.cfg"
-        config.write_text(SMOOTH_DOC + line + "\n")
-        out_dir = tmp_path / "out"
-        code, _, err = run(capsys, "solve", "--config", str(config), "--out", str(out_dir))
-        assert code == 1
-        assert err.startswith("numerical failure:") and err.count("\n") == 1
-        assert not (out_dir / "pressure.csv").exists()
+        config.write_text(ROUGH_DOC + line + "\n")
+        for command in ("solve", "compare"):
+            out_dir = tmp_path / command
+            code, _, err = run(capsys, command, "--config", str(config), "--out", str(out_dir))
+            assert code == 1
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
+            assert out_dir.is_dir() and not list(out_dir.glob("*.csv"))
 
     @pytest.mark.parametrize("flux", ["1e-170", "1e-160"])
     def test_tiny_data_solved_not_read_as_converged(self, capsys, tmp_path, flux):
@@ -921,16 +978,14 @@ class TestCompare:
     def test_files_match_per_value_formatting(self, capsys, tmp_path):
         # every number of the three pressure files reads as f"{v:.17g}", and
         # difference.csv holds rough minus smooth, on an odd 97 x 31 grid
-        from roughlub.geometry import RoughnessSpec, ScenarioConfig, build_fields
+        from roughlub.geometry import RoughnessSpec, ScenarioConfig
         from roughlub.solver import solve_fields
         out_dir = tmp_path / "out"
         assert run(capsys, "compare", "--scenario", "fig3", "--nx", "97", "--ny", "31",
                    "--out", str(out_dir))[0] == 0
         config = ScenarioConfig(nx=97, ny=31,
                                 roughness=RoughnessSpec(cli.PRESET_REGIONS["fig3"]))
-        grid, fields = build_fields(config)
-        _, smooth_fields = build_fields(ScenarioConfig(nx=97, ny=31))
-        smooth, rough = solve_fields(config, grid, smooth_fields, fields)
+        (grid, smooth), (_, rough) = solve_fields(ScenarioConfig(nx=97, ny=31), config)
         x, y = grid.node_coords()
         for name, header, values in (("pressure_smooth.csv", "x,y,p", smooth.p),
                                      ("pressure_rough.csv", "x,y,p", rough.p),

@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -197,6 +198,21 @@ class TestSolveLinear:
         assert len(dots) - 1 - 3 * solution.iterations == 2  # one failed check, one passed
         assert solution.residual <= 1e-12
         assert residual_check(system, solution) <= 1e-12
+
+    def test_peak_memory_at_most_16_vectors(self):
+        # fig3 at 128^2 with the transfers held peaks at about 15 vectors of
+        # the unknowns: the Galerkin hierarchy, the scaled b, x, r, d, z, Ad
+        # and a V-cycle's temporaries; a copy per CG update, or an index array
+        # for the full-grid pressure after CG, would exceed 16
+        _, system = assembled(ScenarioConfig(nx=128, ny=128, roughness=FIG3))
+        solve_linear(system)
+        tracemalloc.start()
+        try:
+            solve_linear(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * system.rhs.nbytes
 
     def test_deterministic(self):
         config = ScenarioConfig(nx=24, ny=24)
