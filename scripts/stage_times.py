@@ -39,7 +39,11 @@ fresh-interpreter run), `cg_iterations` and `levels`; the
 `pointwise` case holds `n_count` and `per_call_s`, the median time of one
 call in each part of the split (`velocity_profile_z64_*` for the profiles
 on 64 intervals).  Every case also holds `peak_rss_mb`, the
-peak resident memory of its child interpreter (`ru_maxrss`) after the case.
+peak resident memory of its child interpreter (`ru_maxrss`) after the case,
+which holds the case's own fields, system and solution beside the in-process
+command; every case but `pointwise` holds `process_peak_rss_mb`, the peak
+resident memory of the command alone, run once more in a fresh interpreter
+(`ru_maxrss` of `RUSAGE_CHILDREN` in a small interpreter that spawns it).
 `--case NAME` with one `--tree` prints that one case as JSON instead.
 """
 
@@ -66,6 +70,12 @@ DESIGN = ("grid.nx = 96\ngrid.ny = 64\n"
           "rough.region.1 = 0.125,0.25,0.375,0.75,n=2\n"
           "rough.region.2 = 0.625,0.125,0.875,0.5,n=20\n")
 RANDOM_SEED = 18
+# runs a command and prints its ru_maxrss in KiB; it runs in an interpreter of
+# its own because Linux counts in a child's ru_maxrss the peak of the process
+# that spawned it, here a case child that holds the case's arrays
+PEAK_RUN = ("import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
 POINTWISE_N = [1e-3 * 7e5 ** (k / 63) for k in range(64)]  # log-uniform on [1e-3, 700]
 
 
@@ -127,9 +137,15 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
+    command = [sys.executable, "-m", "roughlub.cli", *argv]
+
     def run_process():
-        subprocess.run([sys.executable, "-m", "roughlub.cli", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+
+    def run_process_peak() -> float:
+        result = subprocess.run([sys.executable, "-c", PEAK_RUN, *command], env=env,
+                                check=True, capture_output=True, text=True)
+        return int(result.stdout) / 1024.0
 
     return {
         "case": name,
@@ -140,6 +156,7 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
                      for stage, (call, *prepare) in stages.items()},
         "command_s": median_time(run_cli, repeats),
         "process_s": median_time(run_process, repeats),
+        "process_peak_rss_mb": run_process_peak(),
         "cg_iterations": solution.iterations,
         "levels": list(solution.levels),
     }

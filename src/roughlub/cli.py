@@ -27,10 +27,9 @@ import numpy as np
 
 from . import postprocess
 from .coefficients import N_MAX, coefficients
-from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion,
+from .geometry import (MAX_INPUT_BYTES, ConfigError, Grid, RoughnessSpec, RoughRegion,
                        ScenarioConfig, build_fields, evaluate_gap, load_config)
-from .solver import (ConvergenceError, PressureSolution, assemble, solve_fields,
-                     solve_linear)
+from .solver import ConvergenceError, PressureSolution, solve_fields
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -59,6 +58,8 @@ def _load_scenario(config_path: str | None, scenario: str | None,
                 reason = ("is a directory" if path.is_dir() else
                           "not a regular file" if path.exists() else "file not found")
                 raise ConfigError(f"--config {config_path!r}: {reason}")
+            if path.stat().st_size > MAX_INPUT_BYTES:
+                raise ConfigError(f"--config {config_path!r}: over {MAX_INPUT_BYTES} bytes")
             text = path.read_text(encoding="utf-8")
         except OSError as exc:  # unreadable, or a name too long for the system
             raise ConfigError(f"--config {config_path!r}: {exc.strerror or exc}") from None
@@ -153,20 +154,11 @@ def cmd_solve(args) -> int:
     # loaded here, not by the first assembly, so that wall_time_s times the solve
     import scipy.sparse  # noqa: F401
     start = time.perf_counter()
-    grid, fields = build_fields(config)
-    system = assemble(grid, fields, config.u_b, config.q_e)
+    (grid, solution), = solve_fields(config)
     wall = time.perf_counter() - start
-    # written now, so that CG runs without the fields; a failed solve removes it
-    _write_fields_csv(out / "fields.csv", grid, fields)
-    del fields
-    start = time.perf_counter()
-    try:
-        solution = solve_linear(system, config.tol)
-    except BaseException:
-        (out / "fields.csv").unlink(missing_ok=True)
-        raise
-    wall += time.perf_counter() - start
     _write_pressure_csv(out / "pressure.csv", grid, solution.p)
+    # built again, not kept from the solve, so that no CG runs beside the fields
+    _write_fields_csv(out / "fields.csv", grid, build_fields(config)[1])
     files = ["pressure.csv", "fields.csv"]
     _write_manifest(out / "manifest.txt", args.scenario or "custom", config,
                     files, solution, wall)

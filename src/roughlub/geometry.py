@@ -23,6 +23,7 @@ from .coefficients import N_MAX, coefficient_arrays, cosine_roughness_intensity
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
 MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve peaks near 285 bytes per cell
+MAX_INPUT_BYTES = 2**28  # largest --config or gap.table_path file read (256 MiB)
 
 
 class ConfigError(ValueError):
@@ -260,11 +261,14 @@ def _read_table(path: str) -> np.ndarray:
     # np.loadtxt would fetch a path that looks like a URL; a handle is a file.
     # It warns, instead of raising, on a file without data rows.  utf-8-sig
     # skips the byte-order mark that some spreadsheet programs write.  A FIFO
-    # or a device is never opened: opening a FIFO waits for a writer.
+    # or a device is never opened: opening a FIFO waits for a writer.  The
+    # size is checked before loadtxt builds the table.
     try:
-        mode = os.stat(path).st_mode
-        if not stat.S_ISREG(mode):
-            raise ValueError("is a directory" if stat.S_ISDIR(mode) else "not a regular file")
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
+            raise ValueError("is a directory" if os.path.isdir(path) else "not a regular file")
+        if info.st_size > MAX_INPUT_BYTES:
+            raise ValueError(f"over {MAX_INPUT_BYTES} bytes")
         with open(path, encoding="utf-8-sig") as f, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             return np.loadtxt(f, delimiter=",", ndmin=2)

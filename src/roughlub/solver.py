@@ -265,11 +265,18 @@ def _vcycle(levels: tuple[_Level, ...], r: np.ndarray) -> np.ndarray:
     a, w = level.matrix, level.jacobi
     z = w * r
     for _ in range(SWEEPS - 1):
-        z += w * (r - a @ z)
-    z += level.prolong @ _vcycle(levels[1:], level.restrict @ (r - a @ z))
+        z += _residual(a, z, r, w)
+    z += level.prolong @ _vcycle(levels[1:], level.restrict @ _residual(a, z, r))
     for _ in range(SWEEPS):
-        z += w * (r - a @ z)
+        z += _residual(a, z, r, w)
     return z
+
+
+def _residual(a: sp.csr_matrix, z: np.ndarray, r: np.ndarray, w=None) -> np.ndarray:
+    """r - a z, times the array w if given, in the one buffer of the product a z."""
+    t = a @ z
+    np.subtract(r, t, out=t)
+    return t if w is None else np.multiply(t, w, out=t)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -323,6 +330,7 @@ def solve_linear(system: LinearSystem, tol: float = 1e-10) -> PressureSolution:
         alpha = rz / _dot(d, ad)
         x += np.multiply(d, alpha, out=z)  # z is dead once d holds it
         r -= np.multiply(ad, alpha, out=ad)
+        del z, ad  # freed before the next V-cycle allocates its own
         r_norm = math.sqrt(_dot(r, r))
         if not math.isfinite(r_norm):
             residual = math.nan  # no later iterate is finite either

@@ -11,6 +11,7 @@ import pytest
 
 import roughlub
 from roughlub import _g17, cli
+from roughlub.geometry import MAX_INPUT_BYTES
 
 SMOOTH_DOC = "grid.nx = 16\ngrid.ny = 16\n"
 ROUGH_DOC = SMOOTH_DOC + "rough.region.1 = 0.5,0,1,1,n=2\n"
@@ -214,7 +215,6 @@ def test_no_coefficient_fields_live_when_cg_starts(capsys, monkeypatch, tmp_path
         return solve_linear(system, tol)
 
     monkeypatch.setattr(solver, "solve_linear", spy)
-    monkeypatch.setattr(cli, "solve_linear", spy)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scenario.cfg").write_text(ROUGH_DOC)
     before = live_fields()
@@ -609,6 +609,25 @@ class TestSolve:
                        "is a directory\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("big", ["config", "table"])
+    def test_oversized_input_exits_2_before_reading(self, capsys, monkeypatch, tmp_path, big):
+        # a sparse file: truncate sets its size without writing data, and the
+        # reader that would read it fails the test
+        path = tmp_path / f"big.{big}"
+        path.touch()
+        os.truncate(path, MAX_INPUT_BYTES + 1)
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SMOOTH_DOC + f"gap.kind = tabulated\ngap.table_path = {path}\n")
+        reader = (Path, "read_text") if big == "config" else (np, "loadtxt")
+        monkeypatch.setattr(*reader, lambda *args, **kwargs: pytest.fail(f"{big} read"))
+        given = path if big == "config" else config
+        code, out, err = run(capsys, "solve", "--config", str(given),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        where = "--config" if big == "config" else "key 'gap.table_path': cannot read"
+        assert err == f"error: {where} {str(path)!r}: over {MAX_INPUT_BYTES} bytes\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_exits_2(self, capsys, monkeypatch, tmp_path):
         # the read fails as it does for a file without read permission;
         # chmod cannot take that permission away from root
@@ -738,7 +757,7 @@ class TestSolve:
     @pytest.mark.parametrize("line", ["inlet.flux = 1e200", "inlet.flux = 1e154",
                                       "velocity.ubx = 1e308"])
     def test_overflowing_data_exits_1_without_csv(self, capsys, tmp_path, line):
-        # `solve` writes fields.csv before its CG and removes it when CG fails
+        # both commands write their CSV files after their solves succeed
         config = tmp_path / "huge.cfg"
         config.write_text(ROUGH_DOC + line + "\n")
         for command in ("solve", "compare"):
@@ -747,6 +766,18 @@ class TestSolve:
             assert code == 1
             assert err.startswith("numerical failure:") and err.count("\n") == 1
             assert out_dir.is_dir() and not list(out_dir.glob("*.csv"))
+
+    def test_failed_solve_never_writes_fields_csv(self, capsys, monkeypatch, tmp_path):
+        # fields.csv is built and written after CG, so a failed CG leaves no
+        # file to remove
+        writes = []
+        monkeypatch.setattr(cli, "_write_fields_csv", lambda *args: writes.append(args))
+        config = tmp_path / "huge.cfg"
+        config.write_text(ROUGH_DOC + "inlet.flux = 1e200\n")
+        code, _, err = run(capsys, "solve", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1 and err.startswith("numerical failure:")
+        assert writes == []
 
     @pytest.mark.parametrize("flux", ["1e-170", "1e-160"])
     def test_tiny_data_solved_not_read_as_converged(self, capsys, tmp_path, flux):

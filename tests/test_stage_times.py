@@ -13,7 +13,8 @@ def test_one_case_prints_the_documented_keys():
     assert result.returncode == 0, result.stderr
     case = json.loads(result.stdout)
     assert sorted(case) == sorted(["case", "command", "nx", "ny", "stages_s", "command_s",
-                                   "process_s", "cg_iterations", "levels", "peak_rss_mb"])
+                                   "process_s", "process_peak_rss_mb", "cg_iterations",
+                                   "levels", "peak_rss_mb"])
     assert (case["case"], case["command"], case["nx"], case["ny"]) == (
         "design-96x64", "compare", 96, 64)
     assert list(case["stages_s"]) == ["build_fields", "assemble", "transfers",
@@ -26,4 +27,4 @@ def test_one_case_prints_the_documented_keys():
     assert case["process_s"] > case["command_s"]
     assert case["cg_iterations"] == 10
     assert case["levels"][0] == 96 * 63 and case["levels"][-1] <= 64
-    assert case["peak_rss_mb"] > 0.0
+    assert case["peak_rss_mb"] > 0.0 and case["process_peak_rss_mb"] > 0.0
