@@ -4,7 +4,9 @@
 fig2: smooth channel; fig3/fig4: right/left half rough at intensity 2;
 fig5: narrow rough strip around the channel throat.  The rough scenarios
 also get a smooth-vs-rough comparison so the upstream perturbation can be
-plotted directly.
+plotted directly.  The three comparisons run in this one process and share
+their smooth channel, which the first of them solves and the solver holds
+for the other two.
 """
 
 import argparse

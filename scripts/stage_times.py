@@ -10,11 +10,14 @@ transfers (`transfers`: the solver's transfers cache is emptied, untimed,
 before each call), `solve_linear` (the transfers of its grid already built,
 where the solver keeps them), the `pressure.csv` write, the `fields.csv`
 write (each timed write to a new file; the last one is deleted untimed) and
-one whole CLI run, each as the median over `--repeats` calls after one
-warm-up call, and the same CLI command in a fresh interpreter
-(`python -m roughlub.cli`, the tree's directory on PYTHONPATH).  Cases: a
-96x64 design with two rough rectangles (stages of its rough run; the CLI
-run is `compare`) and the
+one whole CLI run (`command_s`), each as the median over `--repeats` calls
+after one warm-up call, and the same CLI command in a fresh interpreter
+(`python -m roughlub.cli`, the tree's directory on PYTHONPATH).  A `compare`
+run repeated in one process finds the smooth run of the call before held, as
+a step of a sweep of designs on one grid does; `command_cold_s` times it
+with the transfers and that smooth run released, untimed, before each call.
+Cases: a 96x64 design with two rough rectangles (stages of its rough run;
+the CLI run is `compare`) and the
 `fig3` preset at nx = ny in SIZES (the CLI run is `solve`), and
 `fields-random-256`, a 256x256 `solve` over a tabulated gap of heights drawn
 uniformly from [1, 2] at the 257x257 table nodes (seed RANDOM_SEED), so that
@@ -34,8 +37,9 @@ by label; a run already in the file under another label is kept, one under
 the same label is replaced.  Each run holds `machine` (nproc, Python, numpy
 and scipy versions), `repeats` and `cases`; each case holds `case`,
 `command`, `nx`, `ny`, `stages_s` (build_fields, assemble, transfers,
-solve_linear, pressure_csv, fields_csv), `command_s`, `process_s` (the
-fresh-interpreter run), `cg_iterations` and `levels`; the
+solve_linear, pressure_csv, fields_csv), `command_s`, `command_cold_s`
+(`compare` cases only), `process_s` (the fresh-interpreter run),
+`cg_iterations` and `levels`; the
 `pointwise` case holds `n_count` and `per_call_s`, the median time of one
 call in each part of the split (`velocity_profile_z64_*` for the profiles
 on 64 intervals).  Every case also holds `peak_rss_mb`, the
@@ -116,6 +120,12 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
             solver._slot = ()
         return ()
 
+    def empty_slots(k: int) -> tuple:
+        empty_cache(k)
+        if hasattr(solver, "_baseline"):  # an older tree holds no smooth run
+            solver._baseline.cache_clear()
+        return ()
+
     stages = {
         "build_fields": (lambda: build_fields(config),),
         "assemble": (lambda: assemble(grid, fields, config.u_b, config.q_e),),
@@ -147,7 +157,7 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
                                 check=True, capture_output=True, text=True)
         return int(result.stdout) / 1024.0
 
-    return {
+    case = {
         "case": name,
         "command": argv[0],
         "nx": config.nx,
@@ -160,6 +170,9 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
         "cg_iterations": solution.iterations,
         "levels": list(solution.levels),
     }
+    if argv[0] == "compare":
+        case["command_cold_s"] = median_time(run_cli, repeats, empty_slots)
+    return case
 
 
 def measure_pointwise(repeats: int) -> dict:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import postprocess
+from . import postprocess, solver
 from .coefficients import N_MAX, coefficients
 from .geometry import (MAX_INPUT_BYTES, ConfigError, Grid, RoughnessSpec, RoughRegion,
                        ScenarioConfig, build_fields, evaluate_gap, load_config)
@@ -154,7 +154,7 @@ def cmd_solve(args) -> int:
     # loaded here, not by the first assembly, so that wall_time_s times the solve
     import scipy.sparse  # noqa: F401
     start = time.perf_counter()
-    (grid, solution), = solve_fields(config)
+    grid, solution = solve_fields(config)
     wall = time.perf_counter() - start
     _write_pressure_csv(out / "pressure.csv", grid, solution.p)
     # built again, not kept from the solve, so that no CG runs beside the fields
@@ -173,7 +173,7 @@ def cmd_velocity(args) -> int:
     for flag, value in (("--x", args.x), ("--y", args.y)):
         if not 0.0 < value < 1.0:  # false for nan as well
             raise ConfigError(f"{flag} must be inside (0, 1), got {value}")
-    (grid, solution), = solve_fields(config)
+    grid, solution = solve_fields(config)
     # the gap and intensity at the point itself, not at its cell's barycenter
     profile = postprocess.velocity_profile(
         evaluate_gap(config.gap, args.x, args.y), config.roughness.intensity_at(args.x, args.y),
@@ -189,9 +189,11 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs a scenario with at least one rough region")
     out = _output_dir(args.out)
     # smooth, then rough: the smooth run differs in its roughness alone, so it
-    # has the same grid, and both solves share its multigrid transfers
-    (_, p_smooth), (grid, p_rough) = solve_fields(
-        dataclasses.replace(config, roughness=RoughnessSpec()), config)
+    # has the same grid, and both solves share its multigrid transfers; the
+    # solver holds the smooth run, so a later compare with the same smooth
+    # config, such as another design on this grid, solves only its rough run
+    _, p_smooth = solver._baseline(dataclasses.replace(config, roughness=RoughnessSpec()))
+    grid, p_rough = solve_fields(config)
     report = postprocess.compare_fields(p_smooth, p_rough, grid, config.roughness)
     _write_pressure_csv(out / "pressure_smooth.csv", grid, p_smooth.p)
     _write_pressure_csv(out / "pressure_rough.csv", grid, p_rough.p)

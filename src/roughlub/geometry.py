@@ -38,6 +38,9 @@ class GapProfile:
     constant:          h = c0
     tabulated:         bilinear interpolation of `table` (uniform grid, row i
                        = y level i/(rows-1), column j = x level j/(cols-1))
+
+    Profiles compare and hash by value, tables by shape and entries, so a
+    table loaded twice gives equal profiles; the table is held read-only.
     """
 
     kind: str = "quadratic_channel"
@@ -51,6 +54,8 @@ class GapProfile:
         for name, v in (("gap.c0", self.c0), ("gap.c1", self.c1)):
             if not math.isfinite(float(v)):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        if self.table is not None and self.kind != "tabulated":  # never read, so refused
+            raise ConfigError("gap.table_path: only valid with gap.kind=tabulated")
         # The gap must be positive everywhere: the constant gap is c0, and the
         # channel ranges between c1 (x = 1/2) and c0 + c1 (x = 0 and x = 1).
         if self.kind == "constant":
@@ -68,13 +73,14 @@ class GapProfile:
         if self.kind == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated gap profile requires a table")
-            t = np.asarray(self.table, dtype=float)
+            t = np.array(self.table, dtype=float)  # a copy that the caller cannot change
             if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
                 raise ConfigError(f"gap.table_path: table must be 2-d with >= 2 "
                                   f"rows/cols, got {t.shape}")
             if not np.all(np.isfinite(t) & (t > 0.0)):
                 raise ConfigError("gap.table_path: table entries must be finite "
                                   "and positive")
+            t.flags.writeable = False
             object.__setattr__(self, "table", t)
             keys, gaps = "gap.table_path", (t.min(), t.max())
         # The equation weighs h^3: it must be finite at the largest gap (gaps[1])
@@ -84,6 +90,20 @@ class GapProfile:
         if not (np.isfinite(cubes[1]) and cubes[0] >= np.finfo(float).tiny):
             raise ConfigError(f"{keys}: gaps {gaps[0]:g} to {gaps[1]:g} leave about "
                               f"[2.8e-103, 5.6e+102], where h^3 is a finite normal double")
+
+    def __eq__(self, other):
+        if not isinstance(other, GapProfile):
+            return NotImplemented
+        if (self.kind, self.c0, self.c1) != (other.kind, other.c0, other.c1):
+            return False
+        if self.table is None or other.table is None:
+            return self.table is other.table
+        return np.array_equal(self.table, other.table)  # shapes, then entries
+
+    def __hash__(self):
+        # entries are finite and positive, so equal tables have equal bytes
+        table = None if self.table is None else (self.table.shape, self.table.tobytes())
+        return hash((self.kind, self.c0, self.c1, table))
 
 
 def evaluate_gap(profile: GapProfile, x, y):

@@ -191,15 +191,9 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path, command):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command, extra, starts", [
-    ("solve", ["--out", "out"], 1),
-    ("compare", ["--out", "out"], 2),
-    ("velocity", ["--x", "0.7", "--y", "0.5"], 1),
-])
-def test_no_coefficient_fields_live_when_cg_starts(capsys, monkeypatch, tmp_path,
-                                                   command, extra, starts):
-    # CG reads the assembled system alone, so every command releases the
-    # coefficient fields of a run before its CG starts
+def spy_on_cg_starts(monkeypatch):
+    """A list that gets, at each CG start, the number of live
+    `CoefficientFields` above the count when the spy was installed."""
     from roughlub import solver
     from roughlub.geometry import CoefficientFields
 
@@ -215,11 +209,38 @@ def test_no_coefficient_fields_live_when_cg_starts(capsys, monkeypatch, tmp_path
         return solve_linear(system, tol)
 
     monkeypatch.setattr(solver, "solve_linear", spy)
+    before = live_fields()
+    return live_at_start
+
+
+@pytest.mark.parametrize("command, extra, starts", [
+    ("solve", ["--out", "out"], 1),
+    ("compare", ["--out", "out"], 2),
+    ("velocity", ["--x", "0.7", "--y", "0.5"], 1),
+])
+def test_no_coefficient_fields_live_when_cg_starts(capsys, monkeypatch, tmp_path,
+                                                   command, extra, starts):
+    # CG reads the assembled system alone, so every command releases the
+    # coefficient fields of a run before its CG starts
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scenario.cfg").write_text(ROUGH_DOC)
-    before = live_fields()
+    live_at_start = spy_on_cg_starts(monkeypatch)
     assert run(capsys, command, "--config", "scenario.cfg", *extra)[0] == 0
     assert live_at_start == [0] * starts
+
+
+def test_no_coefficient_fields_live_when_a_warm_compare_starts_cg(capsys, monkeypatch,
+                                                                  tmp_path):
+    # the warm case of the test above: a compare of another design on the same
+    # grid holds the smooth run, so the next compare starts CG once, for its
+    # rough run, with no fields live
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "first.cfg").write_text(ROUGH_DOC)
+    (tmp_path / "second.cfg").write_text(SMOOTH_DOC + "rough.region.1 = 0,0,0.5,0.5,n=7\n")
+    assert run(capsys, "compare", "--config", "first.cfg", "--out", "first")[0] == 0
+    live_at_start = spy_on_cg_starts(monkeypatch)
+    assert run(capsys, "compare", "--config", "second.cfg", "--out", "second")[0] == 0
+    assert live_at_start == [0]
 
 
 def test_oversized_grid_exits_2_before_allocating(tmp_path):
@@ -998,6 +1019,7 @@ class TestCompare:
         assert len(built) == 1
         for name, (command, scenario) in runs.items():
             solver._transfers.cache_clear()
+            solver._baseline.cache_clear()
             assert run(capsys, command, "--scenario", scenario, *grid,
                        "--out", str(tmp_path / "cold" / name))[0] == 0
             assert files(tmp_path / "warm" / name) == files(tmp_path / "cold" / name)
@@ -1016,7 +1038,8 @@ class TestCompare:
                    "--out", str(out_dir))[0] == 0
         config = ScenarioConfig(nx=97, ny=31,
                                 roughness=RoughnessSpec(cli.PRESET_REGIONS["fig3"]))
-        (grid, smooth), (_, rough) = solve_fields(ScenarioConfig(nx=97, ny=31), config)
+        grid, smooth = solve_fields(ScenarioConfig(nx=97, ny=31))
+        _, rough = solve_fields(config)
         x, y = grid.node_coords()
         for name, header, values in (("pressure_smooth.csv", "x,y,p", smooth.p),
                                      ("pressure_rough.csv", "x,y,p", rough.p),
@@ -1025,6 +1048,39 @@ class TestCompare:
                 f"{xi:.17g},{yi:.17g},{v:.17g}" for xi, yi, v in zip(x, y, values)]
             assert (out_dir / name).read_bytes() == ("\n".join(expected) + "\n").encode()
 
+    @pytest.mark.parametrize("gap", ["channel", "tabulated"])
+    def test_held_smooth_run_writes_the_files_of_a_cold_run(self, capsys, tmp_path,
+                                                            baseline_builds, gap):
+        # two designs on one grid: the second compare reads the smooth run of
+        # the first (for a tabulated gap, from a table loaded again), and all
+        # four of its files equal those of a compare with both slots emptied
+        from roughlub import solver
+        head = "grid.nx = 40\ngrid.ny = 24\n"
+        if gap == "tabulated":
+            np.savetxt(tmp_path / "gap.csv",
+                       np.random.default_rng(27).uniform(0.5, 2.0, (5, 7)), delimiter=",")
+            head += f"gap.kind = tabulated\ngap.table_path = {tmp_path / 'gap.csv'}\n"
+        designs = {"a": "rough.region.1 = 0.5,0,1,1,n=2\n",
+                   "b": "rough.region.1 = 0.25,0.25,0.5,0.75,n=30\n"
+                        "rough.region.2 = 0.75,0,1,0.5,amp=0.1,wav=2\n"}
+        for name, regions in designs.items():
+            (tmp_path / f"{name}.cfg").write_text(head + regions)
+
+        def compare(name, kind):
+            out = tmp_path / kind / name
+            assert run(capsys, "compare", "--config", str(tmp_path / f"{name}.cfg"),
+                       "--out", str(out))[0] == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        warm = {name: compare(name, "warm") for name in designs}
+        assert len(baseline_builds) == 1
+        for name in designs:
+            solver._baseline.cache_clear()
+            solver._transfers.cache_clear()
+            assert compare(name, "cold") == warm[name]
+            assert len(warm[name]) == 4
+        assert len(baseline_builds) == 1 + len(designs)
+
     def test_no_rough_region_exits_2(self, capsys, tmp_path):
         config = tmp_path / "scenario.cfg"
         config.write_text(SMOOTH_DOC)
@@ -1032,3 +1088,19 @@ class TestCompare:
                            "--out", str(tmp_path / "out"))
         assert code == 2
         assert "rough region" in err
+
+
+def test_run_figures_solves_the_smooth_channel_once(capsys, monkeypatch, tmp_path,
+                                                    baseline_builds):
+    # the three compares of the figure script share one smooth config, so the
+    # smooth channel is solved once, by the first of them
+    import runpy
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path), "--nx", "16",
+                                      "--ny", "12"])
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert len(baseline_builds) == 1 and not baseline_builds[0].roughness.regions
+    compares = sorted(path.name for path in tmp_path.iterdir() if path.name.endswith("_compare"))
+    assert compares == ["fig3_compare", "fig4_compare", "fig5_compare"]
+    assert all(len(list((tmp_path / name).iterdir())) == 4 for name in compares)

@@ -106,6 +106,37 @@ class TestLoadConfig:
         config = load_config(f"gap.kind = tabulated\ngap.table_path = {path}\n")
         assert evaluate_gap(config.gap, 0.5, 0.0) == pytest.approx(1.5)
 
+    def test_tabulated_gap_compares_and_hashes_by_value(self, tmp_path):
+        # two loads of one table are equal and hash alike, also inside a
+        # ScenarioConfig; one changed entry, or another shape, makes them unequal
+        path = tmp_path / "gap.csv"
+        path.write_text("1.0,2.0,3.0\n1.5,2.5,3.5\n")
+        doc = f"gap.kind = tabulated\ngap.table_path = {path}\n"
+        first, second = load_config(doc), load_config(doc)
+        assert first.gap.table is not second.gap.table
+        assert first.gap == second.gap and hash(first.gap) == hash(second.gap)
+        assert first == second and hash(first) == hash(second)
+        changed = first.gap.table.copy()
+        changed[1, 2] = 3.25
+        assert first.gap != GapProfile(kind="tabulated", table=changed)
+        assert first.gap != GapProfile(kind="tabulated", table=first.gap.table.reshape(3, 2))
+        assert first.gap != GapProfile(kind="constant", c0=1.0)
+
+    def test_table_refused_for_a_kind_that_does_not_read_it(self):
+        # such a table would be ignored by the solve, yet make the profile
+        # unequal to the same profile without it
+        for kind in ("constant", "quadratic_channel"):
+            with pytest.raises(ConfigError, match="only valid with gap.kind=tabulated"):
+                GapProfile(kind=kind, table=np.ones((2, 2)))
+
+    def test_tabulated_gap_holds_a_read_only_copy(self):
+        table = np.array([[1.0, 2.0], [1.0, 2.0]])
+        profile = GapProfile(kind="tabulated", table=table)
+        table[0, 0] = 5.0
+        assert profile.table[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile.table[0, 0] = 5.0
+
 
 class TestEvaluateGap:
     def test_quadratic_channel_minimum(self):

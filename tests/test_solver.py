@@ -470,6 +470,87 @@ class TestTransferSlot:
         assert alive == [False, False]
 
 
+class TestBaselineSlot:
+    # the smooth config of a compare, and configs that differ from it in one
+    # of the values the smooth solve reads
+    BASE = ScenarioConfig(nx=24, ny=16)
+    TABLE = np.array([[1.5, 1.0, 1.5], [1.25, 0.75, 1.25]])
+    CHANGED = {
+        "nx": dict(nx=25), "ny": dict(ny=17), "y_sides_natural": dict(y_sides_natural=True),
+        "gap.kind": dict(gap=GapProfile(kind="constant", c0=1.0)),
+        "gap.c0": dict(gap=GapProfile(c0=0.75)), "gap.c1": dict(gap=GapProfile(c1=0.25)),
+        "u_b.x": dict(u_b=(0.5, 0.0)), "u_b.y": dict(u_b=(1.0, 0.25)),
+        "q_e": dict(q_e=0.25), "tol": dict(tol=1e-8),
+    }
+
+    def test_a_hit_returns_the_held_solution(self):
+        held = solver._baseline(self.BASE)
+        assert solver._baseline(ScenarioConfig(nx=24, ny=16)) is held
+        assert np.array_equal(held[1].p, solver.solve_fields(self.BASE)[1].p)
+
+    @pytest.mark.parametrize("key", sorted(CHANGED))
+    def test_each_key_field_forces_a_new_solve(self, key):
+        held = solver._baseline(self.BASE)
+        changed = ScenarioConfig(**{"nx": 24, "ny": 16, **self.CHANGED[key]})
+        assert changed != self.BASE
+        grid, solution = solver._baseline(changed)
+        assert solution is not held[1]
+        cold_grid, cold = solver.solve_fields(changed)
+        assert grid == cold_grid and np.array_equal(solution.p, cold.p)
+
+    def test_a_changed_table_entry_forces_a_new_solve(self):
+        config = ScenarioConfig(nx=24, ny=16, gap=GapProfile(kind="tabulated", table=self.TABLE))
+        held = solver._baseline(config)
+        again = ScenarioConfig(nx=24, ny=16,
+                               gap=GapProfile(kind="tabulated", table=self.TABLE.copy()))
+        assert solver._baseline(again) is held
+        table = self.TABLE.copy()
+        table[1, 1] = 0.5
+        changed = ScenarioConfig(nx=24, ny=16, gap=GapProfile(kind="tabulated", table=table))
+        solution = solver._baseline(changed)[1]
+        assert solution is not held[1]
+        assert np.array_equal(solution.p, solver.solve_fields(changed)[1].p)
+
+    def test_held_pressure_is_read_only(self):
+        _, solution = solver._baseline(self.BASE)
+        assert not solution.p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            solution.p[0] = 1.0
+
+    def test_failed_solve_leaves_the_slot_empty(self, baseline_builds):
+        # a CG that overflows raises; nothing is held, so the same config
+        # solves again, and the baseline held before is released
+        ref = weakref.ref(solver._baseline(self.BASE)[1])
+        bad = ScenarioConfig(nx=24, ny=16, q_e=1e300)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                solver._baseline(bad)
+        assert baseline_builds == [self.BASE, bad, bad]
+        gc.collect()
+        assert ref() is None
+
+    def test_slot_released_before_the_next_config_is_solved(self, monkeypatch):
+        # the first config's solution is gone, without the cyclic collector,
+        # before the second config's fields are built
+        build_fields_ = solver.build_fields
+        refs, alive = [], []
+
+        def spy(config):
+            alive.append(any(ref() is not None for ref in refs))
+            return build_fields_(config)
+
+        refs.append(weakref.ref(solver._baseline(self.BASE)[1]))
+        monkeypatch.setattr(solver, "build_fields", spy)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver._baseline(ScenarioConfig(nx=24, ny=16, q_e=0.25))
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == [False]
+
+
 class TestResidualCheck:
     def test_perturbed_solution_detected(self):
         config = ScenarioConfig(nx=16, ny=16)

@@ -13,13 +13,14 @@ def test_one_case_prints_the_documented_keys():
     assert result.returncode == 0, result.stderr
     case = json.loads(result.stdout)
     assert sorted(case) == sorted(["case", "command", "nx", "ny", "stages_s", "command_s",
-                                   "process_s", "process_peak_rss_mb", "cg_iterations",
-                                   "levels", "peak_rss_mb"])
+                                   "command_cold_s", "process_s", "process_peak_rss_mb",
+                                   "cg_iterations", "levels", "peak_rss_mb"])
     assert (case["case"], case["command"], case["nx"], case["ny"]) == (
         "design-96x64", "compare", 96, 64)
     assert list(case["stages_s"]) == ["build_fields", "assemble", "transfers",
                                       "solve_linear", "pressure_csv", "fields_csv"]
-    times = [*case["stages_s"].values(), case["command_s"], case["process_s"]]
+    times = [*case["stages_s"].values(), case["command_s"], case["command_cold_s"],
+             case["process_s"]]
     assert all(isinstance(t, float) and t > 0.0 for t in times)
     # a cold 96x64 transfers build takes milliseconds; a cache hit about 1 us
     assert case["stages_s"]["transfers"] > 1e-4
