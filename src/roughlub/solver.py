@@ -44,8 +44,9 @@ that grid's transfers.  The same policy keeps, in `_baseline`, the smooth
 solution of the last `compare`: its key is the whole smooth config (grid,
 y sides, gap, U_b, Q_e, tol), so a compare whose smooth config equals the
 last one solves only its rough run.  It holds the nodal pressure, 8 bytes
-per node, read-only; another smooth config releases it before solving, and
-a failed solve leaves the slot empty.
+per node, read-only, and the config (with a tabulated gap's table); another
+smooth config releases it before solving, and a failed solve leaves the
+slot empty.
 
 ``scipy.sparse`` is imported inside the functions that build matrices, on
 the first assembly: importing it costs about 0.3 s, which `import roughlub`,
