@@ -114,16 +114,12 @@ def measure_case(name: str, config, argv: list[str], repeats: int, tmp: Path) ->
     solution = solve_linear(system, config.tol)
 
     def empty_cache(k: int) -> tuple:
-        if hasattr(solver._transfers, "cache_clear"):
-            solver._transfers.cache_clear()
-        else:  # an older tree keeps them in `_slot`, or builds them on every call
-            solver._slot = ()
+        solver._transfers.cache_clear()
         return ()
 
     def empty_slots(k: int) -> tuple:
         empty_cache(k)
-        if hasattr(solver, "_baseline"):  # an older tree holds no smooth run
-            solver._baseline.cache_clear()
+        solver._baseline.cache_clear()
         return ()
 
     stages = {

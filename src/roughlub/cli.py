@@ -27,8 +27,8 @@ import numpy as np
 
 from . import postprocess, solver
 from .coefficients import N_MAX, coefficients
-from .geometry import (MAX_INPUT_BYTES, ConfigError, Grid, RoughnessSpec, RoughRegion,
-                       ScenarioConfig, build_fields, evaluate_gap, load_config)
+from .geometry import (ConfigError, Grid, RoughnessSpec, RoughRegion, ScenarioConfig,
+                       _read_input, build_fields, evaluate_gap, load_config)
 from .solver import ConvergenceError, PressureSolution, solve_fields
 
 EXIT_OK = 0
@@ -52,18 +52,7 @@ def _load_scenario(config_path: str | None, scenario: str | None,
     if config_path is None and scenario is None:
         raise ConfigError("either --config or --scenario is required")
     if config_path is not None:
-        path = Path(config_path)
-        try:
-            if not path.is_file():  # a FIFO or a device is never read
-                reason = ("is a directory" if path.is_dir() else
-                          "not a regular file" if path.exists() else "file not found")
-                raise ConfigError(f"--config {config_path!r}: {reason}")
-            if path.stat().st_size > MAX_INPUT_BYTES:
-                raise ConfigError(f"--config {config_path!r}: over {MAX_INPUT_BYTES} bytes")
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:  # unreadable, or a name too long for the system
-            raise ConfigError(f"--config {config_path!r}: {exc.strerror or exc}") from None
-        config = load_config(text)
+        config = load_config(_read_input(config_path, lambda f: f.read(), "--config"))
     else:
         config = ScenarioConfig()
     replace: dict = {}
@@ -227,13 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"roughness intensity in [0, {N_MAX:g}]")
     p.set_defaults(func=cmd_coeffs)
 
-    p = sub.add_parser("solve", help="solve a scenario and export CSV fields")
-    p.add_argument("--config", help="scenario config file (key = value lines)")
-    p.add_argument("--scenario", choices=sorted(PRESET_REGIONS),
-                   help="named roughness preset")
-    p.add_argument("--nx", type=int, help="override cells in x")
-    p.add_argument("--ny", type=int, help="override cells in y")
-    p.add_argument("--out", required=True, help="output directory")
+    # the flags that choose a scenario, shared by solve and compare
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--config", help="scenario config file (key = value lines)")
+    scenario.add_argument("--scenario", choices=sorted(PRESET_REGIONS),
+                          help="named roughness preset")
+    scenario.add_argument("--nx", type=int, help="override cells in x")
+    scenario.add_argument("--ny", type=int, help="override cells in y")
+    scenario.add_argument("--out", required=True, help="output directory")
+
+    p = sub.add_parser("solve", parents=[scenario],
+                       help="solve a scenario and export CSV fields")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("velocity", help="print a through-gap velocity profile")
@@ -244,12 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"gap intervals in [8, {postprocess.Z_COUNT_MAX}]")
     p.set_defaults(func=cmd_velocity)
 
-    p = sub.add_parser("compare", help="compare smooth vs rough pressure fields")
-    p.add_argument("--config", help="scenario config file with rough regions")
-    p.add_argument("--scenario", choices=sorted(PRESET_REGIONS))
-    p.add_argument("--nx", type=int, help="override cells in x")
-    p.add_argument("--ny", type=int, help="override cells in y")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("compare", parents=[scenario],
+                       help="compare smooth vs rough pressure fields")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -262,7 +251,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:  # a config file it cannot read, an output file it cannot write
+    except OSError as exc:  # an output file it cannot write
         where = f"cannot use {exc.filename!r}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT

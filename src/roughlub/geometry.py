@@ -7,6 +7,11 @@ carrying a single intensity value; everywhere else the surface is smooth
 (intensity 0).  Coefficients are sampled once per cell at the barycenter, so
 the discontinuity across a rough-region edge is kept sharp instead of being
 smeared by averaging.
+
+Both input files, the `--config` document and a `gap.table_path` table, go
+through one reader, `_read_input`: a regular file of at most MAX_INPUT_BYTES
+bytes, UTF-8 with or without a byte-order mark.  Each failure is one
+ConfigError line that names the flag or key and the path.
 """
 
 from __future__ import annotations
@@ -277,32 +282,46 @@ class ScenarioConfig:
             raise ConfigError(f"solver.tol must be positive and finite, got {self.tol}")
 
 
-def _read_table(path: str) -> np.ndarray:
-    # np.loadtxt would fetch a path that looks like a URL; a handle is a file.
-    # It warns, instead of raising, on a file without data rows.  utf-8-sig
-    # skips the byte-order mark that some spreadsheet programs write.  A FIFO
-    # or a device is never opened: opening a FIFO waits for a writer.  The
-    # size is checked before loadtxt builds the table.
+def _read_input(path: str, read, label: str):
+    """`read(f)` of the input file at `path`, opened as UTF-8 text: the one
+    reader of `--config` and `gap.table_path`.
+
+    Only a regular file is opened (opening a FIFO waits for a writer), and
+    only if it holds at most MAX_INPUT_BYTES bytes, checked before any byte
+    is read.  A byte-order mark, which some spreadsheet programs write, is
+    skipped.  A failure of the file, of its decoding or of `read` raises one
+    ConfigError, `<label> '<path>': <reason>`.
+    """
     try:
         info = os.stat(path)
         if not stat.S_ISREG(info.st_mode):
             raise ValueError("is a directory" if os.path.isdir(path) else "not a regular file")
         if info.st_size > MAX_INPUT_BYTES:
             raise ValueError(f"over {MAX_INPUT_BYTES} bytes")
-        with open(path, encoding="utf-8-sig") as f, warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
+        with open(path, encoding="utf-8-sig") as f:
+            return read(f)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, not UTF-8, bad data
+        reason = ("file not found" if isinstance(exc, (FileNotFoundError, NotADirectoryError))
+                  else getattr(exc, "strerror", None) or str(exc))
+        raise ConfigError(f"{label} {path!r}: {reason}") from None
+
+
+def _load_table(f) -> np.ndarray:
+    # np.loadtxt gets a handle: it would fetch a path that looks like a URL.
+    # It warns, instead of raising, on a file without data rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
             return np.loadtxt(f, delimiter=",", ndmin=2)
-    except UserWarning:
-        raise ValueError(f"cannot read {path!r}: no data rows") from None
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read {path!r}: {exc}") from None
+        except UserWarning:
+            raise ValueError("no data rows") from None
 
 
 # config key -> (field of GapProfile for the gap.* keys, of ScenarioConfig for
 # the others; conversion of the value); velocity.ubx and .uby make up u_b
 _KEYS = {
     "gap.kind": ("kind", str), "gap.c0": ("c0", float), "gap.c1": ("c1", float),
-    "gap.table_path": ("table", _read_table),
+    "gap.table_path": ("table", lambda path: _read_input(path, _load_table, "cannot read")),
     "grid.nx": ("nx", int), "grid.ny": ("ny", int),
     "velocity.ubx": ("ubx", float), "velocity.uby": ("uby", float),
     "inlet.flux": ("q_e", float), "solver.tol": ("tol", float),
@@ -328,6 +347,8 @@ def _parse_region(value: str, where: str) -> RoughRegion:
         k = k.strip()
         if k not in ("n", "amp", "wav"):
             raise ConfigError(f"{where}: unknown region parameter {k!r}")
+        if k in kw:
+            raise ConfigError(f"{where}: duplicate region parameter {k!r}")
         try:
             kw[k] = float(v)
         except ValueError:

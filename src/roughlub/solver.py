@@ -18,7 +18,9 @@ is the mean of k = h^3 A / 12 over the adjacent cells (zero outside the
 square), times hy/hx or hx/hy.  The shear load integrates each cell's
 grad phi_i to half its edges, so a node's load is the difference of the
 cell terms h B U_b on either side of it.  `assemble` builds that stencil
-directly; the solution is still the P1 solution.
+directly; the solution is still the P1 solution.  `solve_fields(config)`
+is the one solve entry: the fields, assembly and linear solve of a config,
+returning the grid and the solution.
 
 The free nodes form a tensor-product sub-lattice, `Grid.free_lattice()`, so
 the reduced system (Dirichlet rows/columns eliminated) is the stencil sliced
@@ -385,8 +387,3 @@ def _baseline(config: ScenarioConfig) -> tuple[Grid, PressureSolution]:
     grid, solution = solve_fields(config)
     solution.p.flags.writeable = False
     return grid, solution
-
-
-def solve_reynolds(config: ScenarioConfig) -> PressureSolution:
-    """Full pipeline: fields -> assembly -> linear solve."""
-    return solve_fields(config)[1]

@@ -12,7 +12,7 @@ from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
                                ScenarioConfig, build_fields)
 from roughlub.postprocess import (compare_fields, flux_from_coefficients,
                                   flux_from_velocity, velocity_profile)
-from roughlub.solver import assemble, solve_reynolds
+from roughlub.solver import assemble, solve_fields
 
 from oracles import (bounded_poiseuille_oracle, couette_oracle, growth_oracle,
                      oracle_1d, poiseuille_oracle)
@@ -53,9 +53,9 @@ def test_criterion_3_oracle_equivalence():
     # magnitude is 12 (1 - x) with the sign fixed by the inlet-term convention.
     flat = ScenarioConfig(nx=16, ny=4, gap=GapProfile(kind="constant", c0=1.0),
                           u_b=(0.0, 0.0), q_e=1.0, y_sides_natural=True)
-    grid, _ = build_fields(flat)
+    grid, solution = solve_fields(flat)
     x, _ = grid.node_coords()
-    p = solve_reynolds(flat).p
+    p = solution.p
     _, p_ref = oracle_1d(flat.gap, flat.roughness, u_bx=0.0, q_e=1.0, samples=17)
     xo = np.linspace(0.0, 1.0, 17)
     analytic_ok = (np.abs(p_ref - (-12.0 * (1.0 - xo))).max() <= 1e-10
@@ -64,9 +64,9 @@ def test_criterion_3_oracle_equivalence():
     errors = []
     for nx in (16, 32, 64, 128):
         config = ScenarioConfig(nx=nx, ny=4, tol=1e-12, y_sides_natural=True)
-        g, _ = build_fields(config)
+        g, solution = solve_fields(config)
         _, ys = g.node_coords()
-        row = solve_reynolds(config).p[ys == 0.0]
+        row = solution.p[ys == 0.0]
         _, p_oracle = oracle_1d(config.gap, config.roughness, u_bx=1.0,
                                 q_e=0.5, samples=nx + 1)
         errors.append(np.abs(row - p_oracle).max())
@@ -77,7 +77,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_zero_solution_identity():
     config = ScenarioConfig(nx=64, ny=64, gap=GapProfile(kind="constant", c0=1.0),
                             u_b=(1.0, 0.0), q_e=-0.5)
-    solution = solve_reynolds(config)
+    _, solution = solve_fields(config)
     report(4, "balanced-Couette zero solution", np.abs(solution.p).max() <= 1e-10)
 
 
@@ -100,9 +100,8 @@ def test_criterion_5_flux_consistency():
 
 def test_criterion_6_nonlocality():
     spec = RoughnessSpec((RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),))
-    smooth = solve_reynolds(ScenarioConfig(nx=64, ny=64))
-    rough = solve_reynolds(ScenarioConfig(nx=64, ny=64, roughness=spec))
-    grid, _ = build_fields(ScenarioConfig(nx=64, ny=64))
+    grid, smooth = solve_fields(ScenarioConfig(nx=64, ny=64))
+    _, rough = solve_fields(ScenarioConfig(nx=64, ny=64, roughness=spec))
     result = compare_fields(smooth, rough, grid, spec)
     report(6, "nonlocal roughness effect", result.l2_outside_rough > 1e-4)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import roughlub
-from roughlub import _g17, cli
+from roughlub import _g17, cli, geometry
 from roughlub.geometry import MAX_INPUT_BYTES
 
 SMOOTH_DOC = "grid.nx = 16\ngrid.ny = 16\n"
@@ -78,8 +78,7 @@ def test_every_public_name_resolves():
         "RoughRegion", "RoughnessSpec", "ScenarioConfig", "VelocityProfile", "assemble",
         "build_fields", "coefficients", "compare_fields", "cosine_roughness_intensity",
         "evaluate_gap", "flux_from_coefficients", "flux_from_velocity", "gradient_at",
-        "growth_integral", "load_config", "solve_fields", "solve_linear", "solve_reynolds",
-        "velocity_profile"]
+        "load_config", "solve_fields", "solve_linear", "velocity_profile"]
     for name in roughlub.__all__:
         assert getattr(roughlub, name) is not None, name
 
@@ -589,6 +588,40 @@ class TestSolve:
         assert err == "error: either --config or --scenario is required\n"
         assert not (tmp_path / "out").exists()
 
+    def test_config_with_a_byte_order_mark_runs(self, capsys, tmp_path):
+        # the same reader as a table's: a BOM is skipped, not read as a key
+        outputs = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(ROUGH_DOC, encoding=encoding)
+            code, _, err = run(capsys, "solve", "--config", str(config),
+                               "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("pressure.csv", "fields.csv")])
+        assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+
+    def test_config_that_is_not_utf8_exits_2_naming_the_flag(self, capsys, tmp_path):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"grid.nx = 8 # \xb5m\n")
+        code, out, err = run(capsys, "solve", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --config {str(config)!r}: 'utf-8' codec can't decode "
+                       "byte 0xb5 in position 14: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_table_names_its_path_once(self, capsys, tmp_path):
+        table = tmp_path / "nope.csv"
+        config = tmp_path / "scenario.cfg"
+        config.write_text(SMOOTH_DOC + f"gap.kind = tabulated\ngap.table_path = {table}\n")
+        code, out, err = run(capsys, "solve", "--config", str(config),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: key 'gap.table_path': cannot read {str(table)!r}: "
+                       "file not found\n")
+
     def test_directory_config_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "solve", "--config", str(tmp_path),
                              "--out", str(tmp_path / "out"))
@@ -639,8 +672,13 @@ class TestSolve:
         os.truncate(path, MAX_INPUT_BYTES + 1)
         config = tmp_path / "scenario.cfg"
         config.write_text(SMOOTH_DOC + f"gap.kind = tabulated\ngap.table_path = {path}\n")
-        reader = (Path, "read_text") if big == "config" else (np, "loadtxt")
-        monkeypatch.setattr(*reader, lambda *args, **kwargs: pytest.fail(f"{big} read"))
+        # the one reader of both files fails the test if it opens the big one
+        def guarded_open(file, *args, **kwargs):
+            if Path(file) == path:
+                pytest.fail(f"{big} opened")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "open", guarded_open, raising=False)
         given = path if big == "config" else config
         code, out, err = run(capsys, "solve", "--config", str(given),
                              "--out", str(tmp_path / "out"))
@@ -655,10 +693,10 @@ class TestSolve:
         config = tmp_path / "locked.cfg"
         config.write_text(SMOOTH_DOC)
 
-        def denied(self, *args, **kwargs):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        def denied(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
 
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr(geometry, "open", denied, raising=False)
         code, _, err = run(capsys, "solve", "--config", str(config),
                            "--out", str(tmp_path / "out"))
         assert code == 2
@@ -855,9 +893,9 @@ class TestVelocity:
         assert rows[-1] == [1.0, 0.0, 0.0]  # Z=1 is the resting top surface
 
     def test_smooth_profile_matches_analytic_form(self, capsys, tmp_path):
-        from roughlub.geometry import build_fields, evaluate_gap, load_config
+        from roughlub.geometry import evaluate_gap, load_config
         from roughlub.postprocess import gradient_at
-        from roughlub.solver import solve_reynolds
+        from roughlub.solver import solve_fields
 
         config_path = tmp_path / "scenario.cfg"
         config_path.write_text(SMOOTH_DOC)
@@ -868,8 +906,7 @@ class TestVelocity:
                          for line in out.splitlines()])
 
         config = load_config(SMOOTH_DOC)
-        grid, fields = build_fields(config)
-        solution = solve_reynolds(config)
+        grid, solution = solve_fields(config)
         grad_p = gradient_at(solution, grid, 0.25, 0.5)
         h1 = float(evaluate_gap(config.gap, 0.25, 0.5))
         z = rows[:, 0]
@@ -878,9 +915,9 @@ class TestVelocity:
         assert np.abs(rows[:, 2] - 0.5 * h1 * h1 * (z * z - z) * grad_p[1]).max() <= 1e-10
 
     def test_large_intensity_profile_is_bounded(self, capsys, tmp_path):
-        from roughlub.geometry import build_fields, evaluate_gap, load_config
+        from roughlub.geometry import evaluate_gap, load_config
         from roughlub.postprocess import gradient_at
-        from roughlub.solver import solve_reynolds
+        from roughlub.solver import solve_fields
 
         doc = SMOOTH_DOC + "rough.region.1 = 0,0,1,1,n=300\n"
         config_path = tmp_path / "scenario.cfg"
@@ -893,8 +930,8 @@ class TestVelocity:
         assert rows.shape == (65, 3) and np.all(np.isfinite(rows))
 
         config = load_config(doc)
-        grid, fields = build_fields(config)
-        grad_p = gradient_at(solve_reynolds(config), grid, 0.25, 0.5)
+        grid, solution = solve_fields(config)
+        grad_p = gradient_at(solution, grid, 0.25, 0.5)
         h1 = float(evaluate_gap(config.gap, 0.25, 0.5))
         bound = np.linalg.norm(config.u_b) + h1 * h1 * np.linalg.norm(grad_p)
         assert np.linalg.norm(rows[:, 1:], axis=1).max() <= bound
@@ -905,7 +942,7 @@ class TestVelocity:
         # N = 2 one with the point's gap, so its flux is the coefficients' one
         from roughlub.geometry import build_fields, evaluate_gap, load_config
         from roughlub.postprocess import flux_from_coefficients, gradient_at
-        from roughlub.solver import solve_reynolds
+        from roughlub.solver import solve_fields
 
         doc = "grid.nx = 64\ngrid.ny = 64\nrough.region.1 = 0.45,0,0.55,1,n=2\n"
         config_path = tmp_path / "scenario.cfg"
@@ -927,7 +964,7 @@ class TestVelocity:
         simpson = (u[0] + u[-1] + 4.0 * u[1:-1:2].sum(axis=0)
                    + 2.0 * u[2:-1:2].sum(axis=0)) / (3.0 * (rows.shape[0] - 1))
         expected = flux_from_coefficients(
-            h1, n, gradient_at(solve_reynolds(config), grid, 0.452, 0.5), config.u_b)
+            h1, n, gradient_at(solve_fields(config)[1], grid, 0.452, 0.5), config.u_b)
         assert np.abs(h1 * simpson - expected).max() <= 1e-7 * np.abs(expected).max()
 
     def test_boundary_point_exits_2(self, capsys, tmp_path):

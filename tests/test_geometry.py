@@ -67,6 +67,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="rough.region.1"):
             load_config("rough.region.1 = 0,0,1,1,frequency=3\n")
 
+    @pytest.mark.parametrize("params, name", [("n=1,n=3", "n"),
+                                              ("amp=0.1,wav=1,amp=0.2", "amp"),
+                                              ("amp=0.1,wav=1,wav=1", "wav")])
+    def test_repeated_region_parameter_rejected(self, params, name):
+        # a repeated parameter is refused like a repeated key, not overwritten
+        with pytest.raises(ConfigError) as info:
+            load_config(f"grid.nx = 8\nrough.region.1 = 0,0,0.5,1,{params}\n")
+        assert str(info.value) == f"key 'rough.region.1': duplicate region parameter {name!r}"
+
     def test_region_needs_exactly_one_parameterization(self):
         with pytest.raises(ConfigError):
             load_config("rough.region.1 = 0,0,1,1,n=2,amp=1,wav=1\n")

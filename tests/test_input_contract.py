@@ -3,7 +3,9 @@
 Any config text either loads or raises ConfigError with a one-line message.
 Any command line either runs (exit 0) or exits 2 with one `error:` line, or 1
 with one `numerical failure:` line; nothing else reaches stderr, and no
-exception or SystemExit escapes `cli.main`.
+exception or SystemExit escapes `cli.main`.  Any bytes as the `--config`
+file or a table hold to the same; bytes that are not UTF-8 name the flag or
+key of their file.
 """
 
 import contextlib
@@ -193,3 +195,30 @@ def test_paths_run_or_exit_2_with_one_line(config, table, out):
             assert "--out" in err, err  # only the output path is at fault
         if code == 2 and config != str(file) and table == str(file) and out == str(good["out"]):
             assert "--config" in err, err  # only the config path is at fault
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=40), role=st.sampled_from(["config", "table"]))
+@example(data=b"\xef\xbb\xbfgrid.nx = 4\n", role="config")
+@example(data=b"\xef\xbb\xbf1,2\n3,4\n", role="table")
+@example(data=b"grid.nx = 4 # \xb5m\n", role="config")
+@example(data=b"1,2\n3,4\n\xff", role="table")
+def test_raw_bytes_run_or_exit_with_one_line(data, role):
+    # any bytes as the --config file or as the table; a file that does not
+    # decode as UTF-8 (a BOM allowed) exits 2 naming its flag or key
+    with tempfile.TemporaryDirectory() as tmp:
+        config, table = Path(tmp) / "raw.cfg", Path(tmp) / "raw.csv"
+        if role == "config":
+            config.write_bytes(data)
+            where = f"--config {str(config)!r}"
+        else:
+            table.write_bytes(data)
+            config.write_text(f"gap.kind = tabulated\ngap.table_path = {table}\n")
+            where = f"key 'gap.table_path': cannot read {str(table)!r}"
+        code, err = check_cli(["solve", "--config", str(config), "--nx", "4", "--ny", "4",
+                               "--out", str(Path(tmp) / "out")])
+        try:
+            data.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            assert code == 2, (data, code)
+            assert err.startswith(f"error: {where}: "), err

@@ -16,7 +16,7 @@ from roughlub.postprocess import (Z_COUNT_MAX, _dawson_primitive,
                                   compare_fields, flux_from_coefficients,
                                   flux_from_velocity, gradient_at,
                                   velocity_profile)
-from roughlub.solver import PressureSolution, solve_reynolds
+from roughlub.solver import PressureSolution, solve_fields
 
 from oracles import dawson_primitive_oracle, simpson
 
@@ -282,8 +282,7 @@ class TestGradientAt:
         values = []
         for nx in (32, 64, 128):
             config = ScenarioConfig(nx=nx, ny=nx, tol=1e-12)
-            grid, _ = build_fields(config)
-            solution = solve_reynolds(config)
+            grid, solution = solve_fields(config)
             values.append(gradient_at(solution, grid, 0.25, 0.5))
         jumps = [np.linalg.norm(values[i + 1] - values[i]) for i in range(2)]
         assert jumps[1] <= 0.75 * jumps[0]
@@ -296,9 +295,7 @@ class TestGradientAt:
 
 class TestCompareFields:
     def test_identical_solutions(self):
-        config = ScenarioConfig(nx=16, ny=16)
-        grid, _ = build_fields(config)
-        solution = solve_reynolds(config)
+        grid, solution = solve_fields(ScenarioConfig(nx=16, ny=16))
         report = compare_fields(solution, solution, grid, RoughnessSpec())
         assert report.l2 == 0.0
         assert report.linf == 0.0
@@ -306,9 +303,8 @@ class TestCompareFields:
 
     def test_right_half_rough_perturbs_smooth_side(self):
         rough_spec = RoughnessSpec((RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),))
-        smooth = solve_reynolds(ScenarioConfig(nx=64, ny=64))
-        rough = solve_reynolds(ScenarioConfig(nx=64, ny=64, roughness=rough_spec))
-        grid, _ = build_fields(ScenarioConfig(nx=64, ny=64))
+        grid, smooth = solve_fields(ScenarioConfig(nx=64, ny=64))
+        _, rough = solve_fields(ScenarioConfig(nx=64, ny=64, roughness=rough_spec))
         report = compare_fields(smooth, rough, grid, rough_spec)
         assert report.l2_outside_rough > 1e-4
         assert report.l2 >= report.l2_outside_rough
@@ -317,9 +313,8 @@ class TestCompareFields:
     def test_zero_amplitude_roughness_is_noise_level(self):
         spec = RoughnessSpec((RoughRegion(0.0, 0.0, 1.0, 1.0,
                                           n=cosine_roughness_intensity(0.0, 1)),))
-        smooth = solve_reynolds(ScenarioConfig(nx=32, ny=32))
-        rough = solve_reynolds(ScenarioConfig(nx=32, ny=32, roughness=spec))
-        grid, _ = build_fields(ScenarioConfig(nx=32, ny=32))
+        grid, smooth = solve_fields(ScenarioConfig(nx=32, ny=32))
+        _, rough = solve_fields(ScenarioConfig(nx=32, ny=32, roughness=spec))
         report = compare_fields(smooth, rough, grid, spec)
         assert report.linf <= 1e-9
 

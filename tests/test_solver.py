@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from roughlub import solver
 from roughlub.geometry import (CoefficientFields, GapProfile, Grid, RoughnessSpec,
                                RoughRegion, ScenarioConfig, build_fields)
-from roughlub.solver import ConvergenceError, assemble, solve_linear, solve_reynolds
+from roughlub.solver import ConvergenceError, assemble, solve_fields, solve_linear
 
 from oracles import oracle_1d, residual_check, simpson
 
@@ -144,9 +144,7 @@ class TestSolveLinear:
         assert residual_check(system, solution) <= 1e-10
 
     def test_dirichlet_nodes_exactly_zero(self):
-        config = ScenarioConfig(nx=16, ny=16)
-        grid, _ = build_fields(config)
-        solution = solve_reynolds(config)
+        grid, solution = solve_fields(ScenarioConfig(nx=16, ny=16))
         assert np.all(solution.p[pinned_by_coordinates(grid)] == 0.0)
 
     def test_nonconvergence_raises(self):
@@ -216,8 +214,8 @@ class TestSolveLinear:
 
     def test_deterministic(self):
         config = ScenarioConfig(nx=24, ny=24)
-        a = solve_reynolds(config)
-        b = solve_reynolds(config)
+        _, a = solve_fields(config)
+        _, b = solve_fields(config)
         assert np.array_equal(a.p, b.p)
         assert a.iterations == b.iterations
 
@@ -440,10 +438,10 @@ class TestTransferSlot:
         cold = {}
         for config in self.GRIDS:
             solver._transfers.cache_clear()
-            cold[config] = solve_reynolds(config)
+            _, cold[config] = solve_fields(config)
         solver._transfers.cache_clear()
         for config in (a, b, a, c, a, d, a):
-            solution = solve_reynolds(config)
+            _, solution = solve_fields(config)
             assert np.array_equal(solution.p, cold[config].p)
             assert solution.iterations == cold[config].iterations
 
@@ -458,12 +456,12 @@ class TestTransferSlot:
             return build(grid)
 
         monkeypatch.setattr(solver, "_transfers", solver._last_key_cache(spy))
-        solve_reynolds(self.GRIDS[0])
+        solve_fields(self.GRIDS[0])
         refs.append(weakref.ref(solver._transfers(grid_a)[0][1]))  # a hit
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            solve_reynolds(self.GRIDS[2])
+            solve_fields(self.GRIDS[2])
         finally:
             if was_enabled:
                 gc.enable()
@@ -571,26 +569,25 @@ class TestResidualCheck:
 
 class TestProperties:
     def test_no_forcing_gives_zero(self):
-        solution = solve_reynolds(ScenarioConfig(nx=16, ny=16, u_b=(0.0, 0.0),
-                                                 q_e=0.0))
+        _, solution = solve_fields(ScenarioConfig(nx=16, ny=16, u_b=(0.0, 0.0), q_e=0.0))
         assert np.abs(solution.p).max() == 0.0
 
     def test_balanced_couette_pressure_zero(self):
-        solution = solve_reynolds(flat_config(nx=64, ny=64, q_e=-0.5))
+        _, solution = solve_fields(flat_config(nx=64, ny=64, q_e=-0.5))
         assert np.abs(solution.p).max() <= 1e-10
 
     def test_joint_scaling_covariance(self):
         base = ScenarioConfig(nx=16, ny=16)
         scaled = ScenarioConfig(nx=16, ny=16, u_b=(2.0, 0.0), q_e=1.0)
-        p1 = solve_reynolds(base).p
-        p2 = solve_reynolds(scaled).p
+        p1 = solve_fields(base)[1].p
+        p2 = solve_fields(scaled)[1].p
         assert np.abs(p2 - 2.0 * p1).max() <= 1e-8 * max(1.0, np.abs(p1).max())
 
     def test_y_mirror_symmetry(self):
         config = ScenarioConfig(
             nx=32, ny=32, tol=1e-12,
             roughness=RoughnessSpec((RoughRegion(0.5, 0.0, 1.0, 1.0, n=2.0),)))
-        solution = solve_reynolds(config)
+        _, solution = solve_fields(config)
         p = solution.p.reshape(33, 33)
         assert np.abs(p - p[::-1]).max() <= 1e-7
 
@@ -599,7 +596,7 @@ class TestProperties:
         # L2 difference by at least a factor 3 (asymptotically 4)
         solutions = {}
         for n in (16, 32, 64, 128):
-            solutions[n] = solve_reynolds(ScenarioConfig(nx=n, ny=n, tol=1e-12))
+            _, solutions[n] = solve_fields(ScenarioConfig(nx=n, ny=n, tol=1e-12))
         diffs = []
         for n in (16, 32, 64):
             coarse = solutions[n].p.reshape(n + 1, n + 1)
@@ -681,8 +678,7 @@ class TestOracleEquivalence:
     def test_flat_case_exact_at_any_resolution(self):
         config = flat_config(nx=16, ny=4, u_b=(0.0, 0.0), q_e=1.0,
                              y_sides_natural=True)
-        grid, _ = build_fields(config)
-        solution = solve_reynolds(config)
+        grid, solution = solve_fields(config)
         x, y = grid.node_coords()
         assert np.abs(solution.p - (-12.0 * (1.0 - x))).max() <= 1e-10
 
@@ -693,9 +689,9 @@ class TestOracleEquivalence:
         errors = []
         for nx in sizes:
             config = ScenarioConfig(nx=nx, ny=4, y_sides_natural=True, **kw)
-            grid, _ = build_fields(config)
+            grid, solution = solve_fields(config)
             _, ys = grid.node_coords()
-            row = solve_reynolds(config).p[ys == 0.0]
+            row = solution.p[ys == 0.0]
             _, p_ref = oracle_1d(config.gap, config.roughness, u_bx=1.0,
                                  q_e=0.5, samples=nx + 1)
             errors.append(np.abs(row - p_ref).max())
