@@ -7,22 +7,20 @@ coefficients, solves the corrected pressure equation with P1 finite elements
 on the unit square, and reconstructs the through-gap velocity profile.
 """
 
-from .coefficients import CoefficientPair, coefficients, cosine_roughness_intensity
+from .coefficients import CoefficientPair, coefficients
 from .geometry import (CoefficientFields, ConfigError, GapProfile, Grid,
                        RoughnessSpec, RoughRegion, ScenarioConfig, build_fields,
                        evaluate_gap, load_config)
 from .postprocess import (ComparisonReport, VelocityProfile, compare_fields,
-                          flux_from_coefficients, flux_from_velocity,
                           gradient_at, velocity_profile)
 from .solver import (ConvergenceError, LinearSystem, PressureSolution, assemble,
                      solve_fields, solve_linear)
 
 __all__ = [
-    "CoefficientPair", "coefficients", "cosine_roughness_intensity",
+    "CoefficientPair", "coefficients",
     "CoefficientFields", "ConfigError", "GapProfile", "Grid", "RoughnessSpec",
     "RoughRegion", "ScenarioConfig", "build_fields", "evaluate_gap", "load_config",
-    "ComparisonReport", "VelocityProfile", "compare_fields",
-    "flux_from_coefficients", "flux_from_velocity", "gradient_at",
+    "ComparisonReport", "VelocityProfile", "compare_fields", "gradient_at",
     "velocity_profile",
     "ConvergenceError", "LinearSystem", "PressureSolution", "assemble",
     "solve_fields", "solve_linear",

@@ -81,8 +81,7 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class CoefficientPair(NamedTuple):
-    """Poiseuille correction ``a`` and Couette correction ``b``: floats at one
-    point, or arrays from ``coefficient_arrays``."""
+    """Poiseuille correction ``a`` and Couette correction ``b`` at one intensity."""
 
     a: float
     b: float
@@ -138,38 +137,3 @@ def coefficients(n: float) -> CoefficientPair:
     bracket = 1.0 - float(erfcx(r)) - math.expm1(-0.5 * n) * _erfcx_mean(r) * r / d
     return CoefficientPair(12.0 / n * (math.sqrt(math.pi / (2.0 * n)) * bracket - 1.0),
                            em / n / (math.exp(0.5 * n) * d / r))  # I1 = e^{n/2} d / r
-
-
-def coefficient_arrays(n) -> CoefficientPair:
-    """A and B at every intensity of the array `n`, one `coefficients` call per
-    distinct value."""
-    n = np.asarray(n, dtype=float)
-    a, b = np.empty_like(n), np.empty_like(n)
-    for value in np.unique(n):
-        sel = n == value
-        a[sel], b[sel] = coefficients(value)
-    return CoefficientPair(a, b)
-
-
-def cosine_roughness_intensity(amplitude: float, wavenumber: int) -> float:
-    """Intensity of a cosine ripple ``amplitude * cos(2 pi wavenumber X1)``.
-
-    The cell average of the squared ripple gradient has the closed form
-    amplitude^2 * (2 pi wavenumber)^2 / 2, independent of the torus dimension
-    (the ripple varies in one direction only).
-    """
-    amplitude = float(amplitude)
-    if not math.isfinite(amplitude) or amplitude < 0.0:
-        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
-    wavenumber = int(wavenumber)
-    if wavenumber < 1:
-        raise ValueError(f"wavenumber must be a positive integer, got {wavenumber}")
-    try:
-        n = 0.5 * amplitude**2 * (2.0 * math.pi * wavenumber) ** 2
-    except OverflowError:
-        n = math.inf
-    if not math.isfinite(n):
-        raise ValueError(f"ripple intensity overflows: amplitude {amplitude:g}, "
-                         f"wavenumber {wavenumber:g}")
-    return n
-

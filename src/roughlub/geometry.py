@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import N_MAX, coefficient_arrays, cosine_roughness_intensity
+from .coefficients import N_MAX, coefficients
 
 GAP_KINDS = ("quadratic_channel", "constant", "tabulated")
 MAX_CELLS = 2**24  # largest nx * ny (4096^2); a solve peaks near 285 bytes per cell
@@ -175,26 +175,29 @@ class RoughnessSpec:
                         f"rough regions ({r.x0},{r.y0})-({r.x1},{r.y1}) and "
                         f"({s.x0},{s.y0})-({s.x1},{s.y1}) overlap")
 
-    def intensity_at(self, x, y):
-        """Pointwise intensity field (0 on the smooth part); vectorized.
+    def _region_at(self, x, y) -> np.ndarray:
+        """Index into `regions` of the region holding each point, -1 outside
+        every region.
 
         Regions are closed rectangles, so on an edge shared by two touching
         regions both contain the point; there the larger intensity wins,
-        whatever the order of the regions.
+        whatever the order of the regions (of equal ones, the later).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for r in self.regions:
-            out = np.where(r.contains(x, y), np.maximum(out, r.n), out)
+        index = np.full(np.broadcast(x, y).shape, -1)
+        # in increasing intensity, so that a larger one overwrites a shared edge
+        for k in sorted(range(len(self.regions)), key=lambda k: self.regions[k].n):
+            np.putmask(index, self.regions[k].contains(x, y), k)
+        return index
+
+    def intensity_at(self, x, y):
+        """Pointwise intensity field (0 on the smooth part); vectorized."""
+        out = np.array([r.n for r in self.regions] + [0.0])[self._region_at(x, y)]
         return float(out) if out.ndim == 0 else out
 
     def inside_any(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-        for r in self.regions:
-            out |= r.contains(x, y)
+        out = self._region_at(x, y) >= 0
         return bool(out) if out.ndim == 0 else out
 
 
@@ -330,7 +333,9 @@ _KEYS = {
 
 def _parse_region(value: str, where: str) -> RoughRegion:
     """A `rough.region.K` value: the rectangle and either `n=<N>` or a cosine
-    ripple `amp=<a>,wav=<k>`, which is stored as its intensity."""
+    ripple `amp=<a>,wav=<k>`, a cos(2 pi k x), which is stored as its
+    intensity, the cell average of its squared gradient: n = a^2 (2 pi k)^2 / 2
+    (the ripple varies in one direction only, so whatever the dimension)."""
     parts = [p.strip() for p in value.split(",")]
     if len(parts) < 5:
         raise ConfigError(f"{where}: expected 'x0,y0,x1,y1,n=<N>' or "
@@ -362,10 +367,12 @@ def _parse_region(value: str, where: str) -> RoughRegion:
     if n is None:
         if amp is None or wav is None:
             raise ConfigError(f"{where}: cosine rough region needs both amp= and wav=")
+        if not 0.0 <= amp < math.inf:  # false for nan as well
+            raise ConfigError(f"{where}: amp must be finite and >= 0, got {amp:g}")
         try:
-            n = cosine_roughness_intensity(amp, int(wav))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: rough region {exc}") from None
+            n = 0.5 * amp**2 * (2.0 * math.pi * wav) ** 2
+        except OverflowError:
+            n = math.inf  # outside [0, N_MAX], so RoughRegion refuses it
     try:
         return RoughRegion(x0, y0, x1, y1, n)
     except ConfigError as exc:
@@ -435,11 +442,14 @@ def build_fields(config: ScenarioConfig) -> tuple[Grid, CoefficientFields]:
 
     A cell is rough iff its barycenter lies inside a rough rectangle, so the
     assignment is deterministic and stable under refinement (interior points
-    keep their value).  Coefficients are computed once per distinct intensity.
+    keep their value).  Each cell reads the (N, A, B) of its region, or of
+    the smooth surface, computed once per region.
     """
     grid = Grid(config.nx, config.ny, y_sides_natural=config.y_sides_natural)
     bx, by = grid.cell_barycenters()
-    n_psi = config.roughness.intensity_at(bx, by)
+    index = config.roughness._region_at(bx, by)
+    n = [r.n for r in config.roughness.regions] + [0.0]  # index -1 reads the smooth 0
+    a, b = zip(*map(coefficients, n))
+    n_psi, a, b = (np.array(values)[index] for values in (n, a, b))
     h1_bar = np.asarray(evaluate_gap(config.gap, bx, by))
-    a, b = coefficient_arrays(n_psi)
     return grid, CoefficientFields(n_psi=n_psi, a=a, b=b, h1_bar=h1_bar)

@@ -9,7 +9,8 @@ with K(Z) = int_0^Z exp(n s^2/2) ds and
 J(Z) = int_0^Z int_0^s exp(n (s^2 - t^2)/2) dt ds.  The profile satisfies
 u(0) = U_b and u(1) = 0 by construction, and its gap-integrated flux
 h * int_0^1 u dZ reproduces the coefficient-level flux
-h B U_b - (h^3 A / 12) grad_p, which is the consistency check exported here.
+h B U_b - (h^3 A / 12) grad_p; the tests check this consistency with the
+flux helpers of ``tests/oracles.py``.
 
 The kernels are evaluated directly, without adaptive quadrature, split at
 the coefficients' ``_N_LARGE`` = 10.  With a = n/2 and r = sqrt(a):
@@ -46,8 +47,7 @@ its own.  No returned profile shares an array with a table.
 
 A profile takes at most ``Z_COUNT_MAX`` intervals, checked before any array
 is built.  h1, grad_p and u_b must be finite, and so must h1**2 max(1,
-|grad_p|) in a profile, and h1**3 max(1, |grad_p|) and h1 |u_b| in the
-coefficient-level flux.
+|grad_p|).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _N_LARGE, _SERIES, _check_intensity, coefficients
+from .coefficients import _N_LARGE, _SERIES, _check_intensity
 from .geometry import Grid, RoughnessSpec
 from .solver import PressureSolution, _last_key_cache
 
@@ -152,11 +152,10 @@ def _kernel_profile(n: float, z_count: int) -> tuple[np.ndarray, np.ndarray, np.
     return z, ratio, poiseuille
 
 
-def _check_forcing(h1, grad_p, u_b, power: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _check_forcing(h1, grad_p, u_b) -> tuple[float, np.ndarray, np.ndarray]:
     """h1 as a float and grad_p, u_b as 2-vectors, all finite; a ValueError
-    names the input at fault.  The terms h1**power max(1, |grad_p|) and
-    h1**(power - 2) |u_b| must be finite too: with A < 1.2 and B < 1 they
-    bound the terms of a profile (power 2) and of the flux (power 3)."""
+    names the input at fault.  h1**2 max(1, |grad_p|) must be finite too:
+    with A < 1.2 and B < 1 it bounds the terms of a profile."""
     h1 = float(h1)
     if not (h1 > 0.0 and math.isfinite(h1)):
         raise ValueError(f"gap height h1 must be finite and positive, got {h1}")
@@ -167,9 +166,7 @@ def _check_forcing(h1, grad_p, u_b, power: int) -> tuple[float, np.ndarray, np.n
     for name, vector in (("grad_p", grad_p.tolist()), ("u_b", u_b.tolist())):
         if not all(map(math.isfinite, vector)):
             raise ValueError(f"{name} must be finite, got {vector}")
-    g, v = (max(map(abs, vector.tolist())) for vector in (grad_p, u_b))
-    if math.isinf(max(math.prod([h1] * power + [max(1.0, g)]),
-                      math.prod([h1] * (power - 2) + [v]))):
+    if math.isinf(h1 * h1 * max(1.0, *map(abs, grad_p.tolist()))):
         raise ValueError(f"overflow at h1 = {h1}, grad_p = {grad_p.tolist()}, "
                          f"u_b = {u_b.tolist()}")
     return h1, grad_p, u_b
@@ -181,7 +178,7 @@ def velocity_profile(h1: float, n: float, grad_p, u_b,
     n = _check_intensity(n)
     if not 8 <= z_count <= Z_COUNT_MAX:
         raise ValueError(f"z_count must be in [8, {Z_COUNT_MAX}], got {z_count}")
-    h1, grad_p, u_b = _check_forcing(h1, grad_p, u_b, 2)
+    h1, grad_p, u_b = _check_forcing(h1, grad_p, u_b)
     z, ratio, poiseuille = _kernel_profile(n, z_count)
     # in place: beside the held power table, the temporaries stay below the
     # kernel's own peak
@@ -189,27 +186,6 @@ def velocity_profile(h1: float, n: float, grad_p, u_b,
     u = np.multiply.outer(poiseuille, grad_p)
     u += np.multiply.outer(np.subtract(1.0, ratio, out=ratio), u_b)
     return VelocityProfile(z=z.copy(), u=u, n_psi=n, h1=h1, grad_p=grad_p, u_b=u_b)
-
-
-def flux_from_velocity(profile: VelocityProfile) -> np.ndarray:
-    """Gap-integrated flux h * int_0^1 u dZ by composite Simpson."""
-    nz = profile.z.size - 1
-    if profile.z.size < 9:
-        raise ValueError("flux quadrature needs at least 9 velocity samples")
-    if nz % 2 != 0:
-        raise ValueError("flux quadrature needs an even number of z intervals")
-    h = 1.0 / nz
-    u = profile.u
-    integral = h / 3.0 * (u[0] + u[-1] + 4.0 * u[1:-1:2].sum(axis=0)
-                          + 2.0 * u[2:-1:2].sum(axis=0))
-    return profile.h1 * integral
-
-
-def flux_from_coefficients(h1: float, n: float, grad_p, u_b) -> np.ndarray:
-    """Flux predicted by the effective coefficients: h B U_b - (h^3 A/12) grad p."""
-    h1, grad_p, u_b = _check_forcing(h1, grad_p, u_b, 3)
-    a, b = coefficients(n)
-    return h1 * b * u_b - h1**3 * a / 12.0 * grad_p
 
 
 def gradient_at(solution: PressureSolution, grid: Grid, x: float, y: float) -> np.ndarray:

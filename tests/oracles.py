@@ -5,14 +5,16 @@ from the power series, Gauss rules and closed forms used by the package itself.
 Special functions (Dawson's integral, erfcx) are taken from ``scipy.special``;
 only the quadrature is independent.  `oracle_1d` integrates the 1-D pressure
 with the package's own coefficients, so it checks the solver, not A and B.
-`residual_check` measures a pressure solution against its assembled system.
+`flux_from_velocity` and `flux_from_coefficients` give the two sides of the
+flux-consistency check of a velocity profile.  `residual_check` measures a
+pressure solution against its assembled system.
 """
 
 import math
 
 import numpy as np
 
-from roughlub.coefficients import coefficient_arrays
+from roughlub.coefficients import coefficients
 from roughlub.geometry import GapProfile, RoughnessSpec, evaluate_gap
 from roughlub.solver import LinearSystem, PressureSolution
 
@@ -133,12 +135,38 @@ def oracle_1d(gap: GapProfile, roughness: RoughnessSpec, u_bx: float,
     s[:, 0] += 1e-13
     s[:, -1] = cuts[1:] - 1e-13
     h = evaluate_gap(gap, s, np.full_like(s, 0.5))
-    a, b = coefficient_arrays(roughness.intensity_at(s, np.full_like(s, 0.5)))
+    # one coefficients call per distinct intensity, read back by each sample
+    values, inverse = np.unique(roughness.intensity_at(s, np.full_like(s, 0.5)),
+                                return_inverse=True)
+    a, b = np.moveaxis(np.array([coefficients(v) for v in values])[inverse.reshape(s.shape)],
+                       -1, 0)
     y = 12.0 * (q_e + h * b * u_bx) / (h**3 * a)
     pieces = width / (6 * panels) * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1::2].sum(1)
                                      + 2.0 * y[:, 2:-1:2].sum(1))
     right = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)  # integral over [cuts[j], 1]
     return x, -right[np.searchsorted(cuts, x)]
+
+
+def flux_from_velocity(profile) -> np.ndarray:
+    """Gap-integrated flux h * int_0^1 u dZ of a VelocityProfile by composite
+    Simpson."""
+    nz = profile.z.size - 1
+    if profile.z.size < 9:
+        raise ValueError("flux quadrature needs at least 9 velocity samples")
+    if nz % 2 != 0:
+        raise ValueError("flux quadrature needs an even number of z intervals")
+    h = 1.0 / nz
+    u = profile.u
+    integral = h / 3.0 * (u[0] + u[-1] + 4.0 * u[1:-1:2].sum(axis=0)
+                          + 2.0 * u[2:-1:2].sum(axis=0))
+    return profile.h1 * integral
+
+
+def flux_from_coefficients(h1, n, grad_p, u_b) -> np.ndarray:
+    """Flux predicted by the effective coefficients: h B U_b - (h^3 A/12) grad p."""
+    a, b = coefficients(n)
+    grad_p, u_b = np.asarray(grad_p, dtype=float), np.asarray(u_b, dtype=float)
+    return h1 * b * u_b - h1**3 * a / 12.0 * grad_p
 
 
 def residual_check(system: LinearSystem, solution: PressureSolution) -> float:

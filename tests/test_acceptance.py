@@ -10,11 +10,11 @@ from roughlub import cli
 from roughlub.coefficients import coefficients, growth_integral
 from roughlub.geometry import (GapProfile, RoughnessSpec, RoughRegion,
                                ScenarioConfig, build_fields)
-from roughlub.postprocess import (compare_fields, flux_from_coefficients,
-                                  flux_from_velocity, velocity_profile)
+from roughlub.postprocess import compare_fields, velocity_profile
 from roughlub.solver import assemble, solve_fields
 
-from oracles import (bounded_poiseuille_oracle, couette_oracle, growth_oracle,
+from oracles import (bounded_poiseuille_oracle, couette_oracle,
+                     flux_from_coefficients, flux_from_velocity, growth_oracle,
                      oracle_1d, poiseuille_oracle)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughlub.coefficients import coefficients, cosine_roughness_intensity, growth_integral
+from roughlub.coefficients import coefficients, growth_integral
 
 from oracles import bounded_poiseuille_oracle, couette_oracle, growth_oracle, poiseuille_oracle
 
@@ -115,23 +115,3 @@ class TestCoefficients:
         pair = coefficients(n)
         assert pair.a > 0.0
         assert pair.b >= 0.5
-
-
-class TestRoughnessIntensity:
-    def test_cosine_flat(self):
-        assert cosine_roughness_intensity(0.0, 3) == 0.0
-
-    def test_cosine_unit_case(self):
-        assert cosine_roughness_intensity(1.0 / math.pi, 1) == pytest.approx(2.0, rel=1e-14)
-
-    def test_cosine_wavenumber_two(self):
-        assert cosine_roughness_intensity(1.0, 2) == pytest.approx(8.0 * math.pi**2, rel=1e-14)
-
-    @pytest.mark.parametrize("amp,wav", [
-        (-0.1, 1), (1.0, 0), (1.0, -2),
-        # the intensity overflows: amp**2 or (2 pi wav)**2 raise OverflowError,
-        # and 1e150 with 1e10 multiplies out to inf
-        (1e200, 1), pytest.param(1.0, 10**300, id="1.0-1e300"), (1e150, 10**10)])
-    def test_cosine_domain_errors(self, amp, wav):
-        with pytest.raises(ValueError):
-            cosine_roughness_intensity(amp, wav)

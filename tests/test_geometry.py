@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughlub.coefficients import coefficients
 from roughlub.geometry import (ConfigError, GapProfile, Grid, RoughnessSpec,
                                RoughRegion, ScenarioConfig, build_fields,
                                evaluate_gap, load_config)
@@ -102,6 +107,34 @@ class TestLoadConfig:
     def test_region_values_must_be_finite(self, params):
         with pytest.raises(ConfigError, match="rough.region.2"):
             load_config(f"rough.region.2 = 0.5,0,1,1,{params}\n")
+
+    @staticmethod
+    def cosine_intensity(amp, wav):
+        """The intensity that load_config gives the cosine region amp=, wav=."""
+        (region,) = load_config(f"rough.region.1 = 0,0,1,1,amp={amp},wav={wav}\n"
+                                ).roughness.regions
+        return region.n
+
+    def test_cosine_flat(self):
+        assert self.cosine_intensity(0, 3) == 0.0
+
+    def test_cosine_unit_case(self):
+        assert self.cosine_intensity(repr(1.0 / math.pi), 1) == pytest.approx(2.0, rel=1e-14)
+
+    def test_cosine_wavenumber_two(self):
+        n = self.cosine_intensity(1, 2)
+        assert n == pytest.approx(8.0 * math.pi**2, rel=1e-14)
+        assert n == 0.5 * 1.0**2 * (2.0 * math.pi * 2) ** 2  # bit for bit
+
+    @pytest.mark.parametrize("amp,wav", [
+        # nan and inf amplitudes: test_region_values_must_be_finite
+        ("-0.1", "1"), ("-inf", "1"), ("1.0", "0"), ("1.0", "-2"),
+        # the intensity overflows: amp**2 or (2 pi wav)**2 raise OverflowError,
+        # and 1e150 with 1e10 multiplies out to inf
+        ("1e+200", "1"), ("1.0", "1e300"), ("1e+150", "10000000000")])
+    def test_cosine_domain_errors(self, amp, wav):
+        with pytest.raises(ConfigError, match="^key 'rough.region.1': [^\n]*$"):
+            self.cosine_intensity(amp, wav)
 
     def test_tabulated_requires_table_path(self):
         with pytest.raises(ConfigError, match="gap.table_path"):
@@ -357,3 +390,55 @@ class TestBuildFields:
             # a point well inside the rectangle always gets the rough value
             cell = np.argmin((bx - 0.5) ** 2 + (by - 0.5) ** 2)
             assert fields.n_psi[cell] == 2.0
+
+
+EIGHTHS = [k / 8 for k in range(9)]
+
+
+@st.composite
+def tilings(draw):
+    """Non-overlapping rough rectangles: some cells of a lattice with cuts on
+    eighths, so neighbours touch; intensities on both sides of N = 10, with
+    ties; regions in any order."""
+    xs, ys = (sorted(draw(st.sets(st.sampled_from(EIGHTHS), min_size=2, max_size=5)))
+              for _ in range(2))
+    cells = [(x0, y0, x1, y1) for x0, x1 in zip(xs, xs[1:]) for y0, y1 in zip(ys, ys[1:])]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    n = st.sampled_from([0.0, 0.5, 3.0, 10.0, 10.5, 50.0, 700.0])
+    return RoughnessSpec(tuple(RoughRegion(*cell, n=draw(n)) for cell in chosen))
+
+
+def brute_force(spec, x, y):
+    """Largest intensity of the regions that contain (x, y), or 0, and
+    whether any region contains it."""
+    inside = [r.n for r in spec.regions if r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1]
+    return max(inside, default=0.0), bool(inside)
+
+
+class TestRegionLookup:
+    @given(spec=tilings(), nx=st.sampled_from([2, 4, 5, 8, 12]),
+           ny=st.sampled_from([2, 4, 7, 8, 12]),
+           points=st.lists(st.tuples(st.sampled_from([k / 16 for k in range(17)]),
+                                     st.floats(0.0, 1.0)), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_matches_brute_force(self, spec, nx, ny, points):
+        # barycenters of 4 and 12 cells lie on eighths, so on shared edges
+        grid, fields = build_fields(ScenarioConfig(nx=nx, ny=ny, roughness=spec))
+        bx, by = grid.cell_barycenters()
+        xs = np.concatenate([bx, [x for x, _ in points], [y for _, y in points]])
+        ys = np.concatenate([by, [y for _, y in points], [x for x, _ in points]])
+        expected = [brute_force(spec, x, y) for x, y in zip(xs, ys)]
+        assert spec.intensity_at(xs, ys).tolist() == [n for n, _ in expected]
+        assert spec.inside_any(xs, ys).tolist() == [inside for _, inside in expected]
+        for x, y, (n, inside) in list(zip(xs, ys, expected))[-2 * len(points):]:
+            assert (spec.intensity_at(x, y), spec.inside_any(x, y)) == (n, inside)
+        assert fields.n_psi.tolist() == [n for n, _ in expected[:bx.size]]
+        for n, a, b in zip(fields.n_psi, fields.a, fields.b):
+            assert (a, b) == coefficients(n)
+
+    def test_scalar_and_array_results(self):
+        spec = RoughnessSpec((RoughRegion(0.0, 0.0, 0.5, 1.0, n=2.0),))
+        assert type(spec.intensity_at(0.25, 0.5)) is float
+        assert type(spec.inside_any(0.75, 0.5)) is bool
+        assert spec.intensity_at(np.array([[0.25, 0.75]]), 0.5).shape == (1, 2)
+        assert spec.inside_any(0.25, np.array([0.5, 0.7])).tolist() == [True, True]
